@@ -114,13 +114,22 @@ def cmd_graph(args):
     return 0
 
 
+def _element_ids(data, key, group):
+    ids = data.get(key, [])
+    if not isinstance(ids, list) or any(
+        not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < group.order for x in ids
+    ):
+        raise ValidationError(f"{key!r} must list element ids 0..{group.order - 1}")
+    return ids
+
+
 def cmd_rough_cayley(args):
     data = _read_json(args.input)
     if "group" not in data:
         raise ValidationError("rough-cayley input needs a 'group'")
     group = group_from_spec(data["group"])
-    oracle = serre_graphs.FiniteGroupOracle(group, data.get("subgroup_gens", []))
-    generators = list(data.get("generators", []))
+    oracle = serre_graphs.FiniteGroupOracle(group, _element_ids(data, "subgroup_gens", group))
+    generators = _element_ids(data, "generators", group)
     closed = sorted(set(generators) | {oracle.inverse(s) for s in generators})
     ball = serre_graphs.rough_cayley_ball(oracle, closed, args.radius)
     h1, components, is_tree = ball.graph_invariants()
@@ -257,9 +266,7 @@ def cmd_coxeter(args):
 
 def cmd_davis(args):
     system = _coxeter_from_file(args.input)
-    verdict = davis.duality_verdict(
-        system, include_empty=not args.exclude_empty_t, jobs=args.jobs
-    )
+    verdict = davis.duality_verdict(system, include_empty=not args.exclude_empty_t)
     payload = verdict.to_json()
     lines = [
         f"cohomological dimension {verdict.cd}",
@@ -358,7 +365,6 @@ def build_parser():
         action="store_true",
         help="scan nonempty spherical subsets only",
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_davis)
 
     p = sub.add_parser("chevalley", parents=[common], help="closed-form Euler characteristic")

@@ -12,8 +12,8 @@ Two input layers coexist:
   breadth-first search layers the group by word length.
 
 Poincaré counts, exponents, the affine/finite series identity and the
-alternating parahoric-index sums are all exact integer or rational
-computations on top of the enumeration.
+alternating parahoric-index sum are all exact integer or rational
+computations on top of one breadth-first enumeration (``_length_layers``).
 """
 
 from __future__ import annotations
@@ -166,10 +166,6 @@ class CoxeterSystem:
             lengths.append(length)
         return lengths
 
-    def restriction(self, subset):
-        subset = tuple(sorted(subset))
-        return CoxeterSystem([[self.m[i][j] for j in subset] for i in subset])
-
     def to_json(self):
         return {
             "size": self.n,
@@ -201,7 +197,13 @@ class CartanMatrix:
     __slots__ = ("n", "a")
 
     def __init__(self, a):
-        self.a = tuple(tuple(int(v) for v in row) for row in a)
+        if not isinstance(a, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in a):
+            raise ValidationError("Cartan matrix must be a list of rows")
+        for row in a:
+            for v in row:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValidationError(f"Cartan entry {v!r} is not an integer")
+        self.a = tuple(tuple(row) for row in a)
         self.n = len(self.a)
         for i in range(self.n):
             if len(self.a[i]) != self.n:
@@ -262,19 +264,21 @@ def _mat_mul(x, y):
     )
 
 
-def enumerate_by_length(cartan, max_len, state_cap=DEFAULT_STATE_CAP):
-    """Word-length layer sizes of the reflection group, lengths 0..max_len.
+def _length_layers(cartan, max_len, state_cap):
+    """Word-length layer sizes of the reflection group from length 0 on.
 
     Breadth-first search from the identity with matrix deduplication; the
     BFS layer of an element is its length because every generator step
-    changes length by exactly one.
+    changes length by exactly one.  The search stops after length
+    ``max_len``, or when a layer comes out empty; ``max_len=None`` runs
+    until the group is exhausted.
     """
     mats = cartan.reflection_matrices()
     identity = tuple(tuple(1 if r == c else 0 for c in range(cartan.n)) for r in range(cartan.n))
     seen = {identity}
     frontier = [identity]
     counts = [1]
-    for _ in range(max_len):
+    while max_len is None or len(counts) <= max_len:
         next_frontier = []
         for w in frontier:
             for s in mats:
@@ -288,9 +292,14 @@ def enumerate_by_length(cartan, max_len, state_cap=DEFAULT_STATE_CAP):
             break
         counts.append(len(next_frontier))
         frontier = next_frontier
-    while len(counts) < max_len + 1:
-        counts.append(0)
     return counts
+
+
+def enumerate_by_length(cartan, max_len, state_cap=DEFAULT_STATE_CAP):
+    """Word-length layer sizes of the reflection group, lengths 0..max_len,
+    zero-padded past the longest element of a finite group."""
+    counts = _length_layers(cartan, max_len, state_cap)
+    return counts + [0] * (max_len + 1 - len(counts))
 
 
 class IntPolynomial:
@@ -376,25 +385,7 @@ def poincare_poly(cartan, state_cap=DEFAULT_STATE_CAP):
     The enumeration must terminate; a non-terminating (affine or worse)
     input hits the state cap and raises ``StateExplosion``.
     """
-    mats = cartan.reflection_matrices()
-    identity = tuple(tuple(1 if r == c else 0 for c in range(cartan.n)) for r in range(cartan.n))
-    seen = {identity}
-    frontier = [identity]
-    counts = [1]
-    while frontier:
-        next_frontier = []
-        for w in frontier:
-            for s in mats:
-                ws = _mat_mul(w, s)
-                if ws not in seen:
-                    seen.add(ws)
-                    next_frontier.append(ws)
-            if len(seen) > state_cap:
-                raise StateExplosion(f"group has more than {state_cap} elements")
-        if next_frontier:
-            counts.append(len(next_frontier))
-        frontier = next_frontier
-    return IntPolynomial(counts)
+    return IntPolynomial(_length_layers(cartan, None, state_cap))
 
 
 def exponents(poly):
@@ -476,9 +467,27 @@ class AffineCartanPair:
             raise ValidationError("no affine diagram below rank two")
 
 
-def poincare_value(cartan, q, state_cap=DEFAULT_STATE_CAP):
-    """p(q) as an exact rational (integer for integer q)."""
-    return poincare_poly(cartan, state_cap)(q)
+def parahoric_sum(affine, q, state_cap=DEFAULT_STATE_CAP):
+    """The exact alternating sum over proper subsets I of the affine nodes,
+
+        sum of (-1)^(|I| - 1) / p_{W(I)}(q),
+
+    with p_{W(I)} the length generating polynomial of the parabolic
+    subgroup on I (1 for the empty subset).  Every proper subset must be
+    of finite type; this holds for genuine affine diagrams and is
+    validated subset by subset.
+    """
+    q = Fraction(q)
+    coxeter_view = affine.to_coxeter()
+    total = Fraction(0)
+    for size in range(affine.n):
+        for subset in combinations(range(affine.n), size):
+            if not coxeter_view.is_spherical(subset):
+                raise ValidationError(f"proper subset {subset} is not finite type")
+            value = poincare_poly(affine.submatrix(subset), state_cap)(q) if subset else 1
+            sign = 1 if size % 2 else -1  # (-1) to the (size - 1)
+            total += sign / Fraction(value)
+    return total
 
 
 def alternating_sum_identity(pair, q, state_cap=DEFAULT_STATE_CAP):
@@ -486,34 +495,18 @@ def alternating_sum_identity(pair, q, state_cap=DEFAULT_STATE_CAP):
 
     For the affine diagram on n+1 nodes, the claim verified is
 
-        sum over proper subsets I of (-1)^(|I| - 1) / p_{W(I)}(q)
-            ==  (-1)^(n + 1) / ptilde(q),
+        parahoric_sum(affine, q)  ==  (-1)^(n + 1) / ptilde(q),
 
     with ptilde(q) = p(q) / prod(1 - q^{m_i}) evaluated exactly from the
-    finite part.  Every proper subset must be of finite type; this holds
-    for genuine affine diagrams and is validated before summing.
+    finite part.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValidationError("the identity is evaluated at q > 1")
-    affine = pair.affine
-    coxeter_view = affine.to_coxeter()
-    nodes = range(affine.n)
-    total = Fraction(0)
-    for size in range(affine.n):
-        for subset in combinations(nodes, size):
-            if not coxeter_view.is_spherical(subset):
-                raise ValidationError(f"proper subset {subset} is not finite type")
-            if subset:
-                value = poincare_value(affine.submatrix(subset), q, state_cap)
-            else:
-                value = 1
-            sign = 1 if size % 2 else -1  # (-1) to the (size - 1)
-            total += Fraction(sign) / Fraction(value)
+    total = parahoric_sum(pair.affine, q, state_cap)
     finite_poly = poincare_poly(pair.finite, state_cap)
-    exps = exponents(finite_poly)
     denominator = Fraction(1)
-    for m in exps:
+    for m in exponents(finite_poly):
         denominator *= 1 - q ** m
     ptilde = Fraction(finite_poly(q)) / denominator
     n = pair.finite.n

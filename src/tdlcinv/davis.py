@@ -7,9 +7,12 @@ point.  The mirror of a generator is the full subcomplex on the subsets
 containing it.
 
 For every spherical subset T the pair (K, union of mirrors over the
-complement of T) has exact rational relative cohomology; the top degree
-carrying a nonzero entry over all T is the cohomological dimension, and
-the verdict is a duality verdict exactly when every nonzero entry sits in
+complement of T) has exact rational relative cohomology.
+``simplicial.relative_cohomology`` reads it from the ranks of the relative
+boundary maps: the relative coboundary is their transpose, just as the
+compact coboundary in ``simplicial`` is the boundary transpose.  The top
+degree carrying a nonzero entry over all T is the cohomological dimension,
+and the verdict is a duality verdict exactly when every nonzero entry sits in
 that single degree.  The scan includes T empty by default (the union of
 all mirrors); ``include_empty=False`` reproduces the nontrivial-subsets-only
 reading for comparison, which demotes rank-one cases to dimension zero.
@@ -143,50 +146,27 @@ class DualityVerdict:
         }
 
 
-def _verdict_from_rows(rows):
-    degrees_seen = set()
-    for _, dims in rows:
-        for degree, dim in enumerate(dims):
-            if dim:
-                degrees_seen.add(degree)
+def _relative_row(chamber, subset):
+    mirrors = [chamber.mirrors[s] for s in chamber.system.generators if s not in subset]
+    away = union_complexes(mirrors) if mirrors else SimplicialComplex.empty()
+    return tuple(sorted(subset)), tuple(relative_cohomology(chamber.complex, away))
+
+
+def relative_table(chamber, include_empty=True):
+    """The duality verdict of a built chamber.
+
+    Scans every spherical subset T (the empty set included by default) and
+    tabulates the relative cohomology of (K, union of mirrors off T), in
+    subset order.
+    """
+    rows = [_relative_row(chamber, s) for s in chamber.poset.subsets if s or include_empty]
+    rows.sort(key=lambda row: (len(row[0]), row[0]))
+    degrees_seen = {degree for _, dims in rows for degree, dim in enumerate(dims) if dim}
     return DualityVerdict(
         cd=max(degrees_seen, default=0),
         is_duality=len(degrees_seen) <= 1,
         table=tuple(rows),
     )
-
-
-def _mirror_union_off(chamber, subset):
-    mirrors = [chamber.mirrors[s] for s in chamber.system.generators if s not in subset]
-    if not mirrors:
-        return SimplicialComplex.empty()
-    return union_complexes(mirrors)
-
-
-def _relative_row(chamber, subset):
-    away = _mirror_union_off(chamber, subset)
-    dims = relative_cohomology(chamber.complex, away)
-    return tuple(sorted(subset)), tuple(dims)
-
-
-def relative_table(chamber, include_empty=True, jobs=1):
-    """The duality verdict of a built chamber.
-
-    Scans every spherical subset T (the empty set included by default) and
-    tabulates the relative cohomology of (K, union of mirrors off T).
-    ``jobs`` parallelizes the independent per-subset computations; results
-    are merged in subset order, so output is deterministic either way.
-    """
-    scanned = [s for s in chamber.poset.subsets if include_empty or s]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_relative_row, [chamber] * len(scanned), scanned))
-    else:
-        rows = [_relative_row(chamber, subset) for subset in scanned]
-    rows.sort(key=lambda row: (len(row[0]), row[0]))
-    return _verdict_from_rows(rows)
 
 
 def finite_type_verdict(system):
@@ -196,19 +176,18 @@ def finite_type_verdict(system):
     return DualityVerdict(cd=0, is_duality=True, table=((full, (1,)),))
 
 
-def duality_verdict(system, include_empty=True, jobs=1, cap=DEFAULT_GENERATOR_CAP):
+def duality_verdict(system, include_empty=True, cap=DEFAULT_GENERATOR_CAP):
     """End-to-end verdict for a Coxeter system, finite types short-circuited."""
     if system.is_spherical(tuple(system.generators)):
         return finite_type_verdict(system)
     chamber = build_chamber(system, cap)
-    return relative_table(chamber, include_empty=include_empty, jobs=jobs)
+    return relative_table(chamber, include_empty=include_empty)
 
 
-def kac_moody_verdict(system, include_empty=True, jobs=1, cap=DEFAULT_GENERATOR_CAP):
+def kac_moody_verdict(system, include_empty=True, cap=DEFAULT_GENERATOR_CAP):
     """Duality verdict transferred to the associated building-automorphism
     group: dimension and duality verdict coincide with the Coxeter verdict.
     Requires an infinite system."""
     if system.is_spherical(tuple(system.generators)):
         raise WFinite("transfer needs an infinite Coxeter group")
-    chamber = build_chamber(system, cap)
-    return relative_table(chamber, include_empty=include_empty, jobs=jobs)
+    return duality_verdict(system, include_empty=include_empty, cap=cap)

@@ -136,7 +136,7 @@ class GraphOfFiniteGroups:
         for e in graph.edges:
             if e not in self.embeddings:
                 raise ValidationError(f"no embedding for directed edge {e!r}")
-        self._tree_edges, self._base_vertex = self._spanning_tree()
+        self._tree_edges, self._base_vertex, self._tree_parent = self._spanning_tree()
         self._transversals = {}
         self._trivial_rep = {}
         self._sections = {}
@@ -170,7 +170,7 @@ class GraphOfFiniteGroups:
                     queue.append(w)
         if len(parent) != len(self.graph.vertices):
             raise Disconnected("underlying graph is not connected")
-        return tree, base
+        return tree, base, parent
 
     @property
     def base_vertex(self):
@@ -259,27 +259,16 @@ class GraphOfFiniteGroups:
         return self.graph.terminus[syllables[-1][0]]
 
     def _tree_path(self, target):
-        """Directed subtree edges from the base vertex to the target vertex."""
-        if target == self._base_vertex:
-            return ()
-        parent = {self._base_vertex: None}
-        queue = [self._base_vertex]
-        while queue:
-            v = queue.pop(0)
-            for e in sorted(self.graph.star(v)):
-                if e not in self._tree_edges:
-                    continue
-                w = self.graph.terminus[e]
-                if w not in parent:
-                    parent[w] = e
-                    if w == target:
-                        path = []
-                        while parent[w] is not None:
-                            path.append(parent[w])
-                            w = self.graph.origin[parent[w]]
-                        return tuple(reversed(path))
-                    queue.append(w)
-        raise ValidationError(f"vertex {target!r} not reachable in the subtree")
+        """Directed subtree edges from the base vertex to the target vertex,
+        read off the parent map of the spanning tree."""
+        if target not in self._tree_parent:
+            raise ValidationError(f"vertex {target!r} not reachable in the subtree")
+        path = []
+        while self._tree_parent[target] is not None:
+            e = self._tree_parent[target]
+            path.append(e)
+            target = self.graph.origin[e]
+        return tuple(reversed(path))
 
     # -- the universal tree ----------------------------------------------------------------
 
@@ -631,6 +620,9 @@ def load_gog(data):
             u, v = str(record["from"]), str(record["to"])
         except (KeyError, TypeError):
             raise ValidationError(f"edge record {record!r} needs id/from/to")
+        for end in (u, v):
+            if end not in vertex_groups:
+                raise ValidationError(f"edge {edge_id!r} ends at undeclared vertex {end!r}")
         group = group_from_spec(record.get("group", "1"))
         geometric.append((edge_id, u, v))
         edge_groups[edge_id] = group

@@ -293,20 +293,24 @@ def group_from_spec(spec):
         return FiniteGroup.direct_product(group_from_spec(left), group_from_spec(right))
     if name in ("1", "trivial"):
         return FiniteGroup.trivial()
-    kind, digits = name[0], name[1:]
+    kind, digits = name[:1], name[1:]
     if not digits.isdigit():
         raise ValidationError(f"unknown group preset {spec!r}")
     n = int(digits)
     if kind == "C":
+        if n < 1:
+            raise ValidationError("cyclic presets start at C1")
         return FiniteGroup.cyclic(n)
     if kind == "S":
-        if n > 5:
-            raise ValidationError("symmetric presets stop at S5")
+        if not 1 <= n <= 5:
+            raise ValidationError("symmetric presets cover S1..S5")
         return FiniteGroup.symmetric(n)
     if kind == "A":
         if not 3 <= n <= 5:
             raise ValidationError("alternating presets cover A3..A5")
         return FiniteGroup.alternating(n)
     if kind == "D":
+        if n < 3:
+            raise ValidationError("dihedral presets start at D3")
         return FiniteGroup.dihedral(n)
     raise ValidationError(f"unknown group preset {spec!r}")

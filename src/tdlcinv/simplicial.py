@@ -10,11 +10,12 @@ Conventions:
 * ``boundary_matrix(q)`` is the degree-q boundary map in the canonical
   bases, with the face dropping position ``j`` carrying sign ``(-1)^j``.
 * ``compact_cochain_matrix(q)`` is the degree-q coboundary of the finitely
-  supported cochain complex, built from vertex extensions ``I(A)``
-  (all ``z`` with ``A + {z}`` a simplex) by prepending ``z`` and sorting.
-  In degree 0 the domain is read in the plus/minus doubled vertex basis
-  (positive representatives), so the matrix is literally adjoint to the
-  degree-1 boundary map; the same holds in every positive degree.
+  supported cochain complex, taken as the transpose of
+  ``boundary_matrix(q + 1)``.  In degree 0 the domain is read in the
+  plus/minus doubled vertex basis (positive representatives).  The
+  definition by vertex extensions ``I(A)`` (all ``z`` with ``A + {z}`` a
+  simplex, prepending ``z`` and sorting) lives in ``tests/oracles.py``,
+  where the tests check it against this transpose.
 * Compactly supported cohomology of infinite complexes is only exposed
   through the ball/frontier window API (``ball_sphere_growth``): the caller
   supplies finite pairs and gets relative cohomology per radius.
@@ -186,17 +187,6 @@ class SimplicialComplex:
     def is_subcomplex_of(self, other):
         return self._simplices <= other._simplices
 
-    def extensions(self, simplex):
-        """Vertices ``z`` outside ``simplex`` with ``simplex + {z}`` a simplex."""
-        s = tuple(sorted(simplex))
-        out = []
-        for z in self.vertices:
-            if z in s:
-                continue
-            if tuple(sorted(s + (z,))) in self._simplices:
-                out.append(z)
-        return tuple(out)
-
     # -- signed-set views ------------------------------------------------------
 
     def oriented_simplices(self, q):
@@ -251,21 +241,15 @@ class SimplicialComplex:
     def compact_cochain_matrix(self, q):
         """Matrix of the finitely supported coboundary from degree q to q+1.
 
-        Built directly from vertex extensions: an oriented q-simplex dual
-        maps to the signed sum over ``z`` in ``extensions(A)`` of the
-        canonical form of ``z`` wedged in front.  At the top degree the
-        matrix has zero rows.
+        The transpose of ``boundary_matrix(q + 1)``: the dual of an oriented
+        q-simplex A maps to the signed sum of the (q+1)-simplices having A
+        as a face.  At the top degree the matrix has zero rows.
         """
         if not 0 <= q <= self.dim:
             raise DegreeOutOfRange(f"cochain degree {q} outside 0..{self.dim}")
-        domain = self.simplices(q)
-        codomain = {s: i for i, s in enumerate(self.simplices(q + 1))}
-        entries = {}
-        for j, s in enumerate(domain):
-            for z in self.extensions(s):
-                oriented = OrientedSimplex.from_vertices((z,) + s)
-                entries[(codomain[oriented.vertices], j)] = Fraction(oriented.sign)
-        return RationalMatrix(len(codomain), len(domain), entries)
+        if q == self.dim:
+            return RationalMatrix.zero(0, len(self.simplices(q)))
+        return self.boundary_matrix(q + 1).transpose()
 
     def cohomology_compact(self):
         """Dimensions of compactly supported cohomology in degrees 0..dim."""
@@ -380,11 +364,16 @@ def load_complex(data):
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValidationError("complex JSON must have a 'vertices' field")
     raw_vertices = data["vertices"]
+    if not isinstance(raw_vertices, list):
+        raise ValidationError("complex 'vertices' must be a list of ids")
     if len(set(map(str, raw_vertices))) != len(raw_vertices):
         raise ValidationError("duplicate vertex ids")
     id_map = {str(v): i for i, v in enumerate(sorted(raw_vertices, key=str))}
+    raw_simplices = data.get("maximal_simplices", [])
+    if not isinstance(raw_simplices, list) or not all(isinstance(raw, list) for raw in raw_simplices):
+        raise ValidationError("complex 'maximal_simplices' must be a list of vertex lists")
     simplices = []
-    for raw in data.get("maximal_simplices", []):
+    for raw in raw_simplices:
         mapped = []
         for v in raw:
             key = str(v)

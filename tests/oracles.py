@@ -120,3 +120,25 @@ def components_count(vertex_list, geometric_edges):
         if ru != rv:
             parent[ru] = rv
     return len({find(v) for v in vertex_list})
+
+
+def extension_coboundary(complex_, q):
+    """Dense degree-q compact coboundary, built from vertex extensions.
+
+    The dual of a q-simplex A maps to the signed sum, over the vertices z
+    outside A with A + {z} a simplex, of the dual of A + {z}; the sign is the
+    parity of sorting z in front of A.  Rows and columns follow the canonical
+    simplex order; at the top degree there are no rows.
+    """
+    domain = complex_.simplices(q)
+    row_of = {s: i for i, s in enumerate(complex_.simplices(q + 1))}
+    dense = [[0] * len(domain) for _ in row_of]
+    for j, simplex in enumerate(domain):
+        for z in complex_.vertices:
+            if z in simplex:
+                continue
+            extended = tuple(sorted(simplex + (z,)))
+            if extended in row_of:
+                inversions = sum(1 for v in simplex if v < z)
+                dense[row_of[extended]][j] = -1 if inversions % 2 else 1
+    return dense

@@ -155,6 +155,38 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("rough-cayley", {"group": "C4", "generators": [9]}),
+        ("gog", {"vertices": ["a"], "vertex_groups": {"a": "C0"}, "edges": []}),
+        ("gog", {"vertices": ["a"], "vertex_groups": {"a": "C2"}, "edges": [{"id": "e", "from": "a", "to": "b"}]}),
+        ("rough-cayley", {"group": "S3", "subgroup_gens": [-1], "generators": []}),
+        ("homology", {"vertices": 5}),
+        ("homology", {"vertices": ["a"], "maximal_simplices": ["a"]}),
+        ("coxeter", {"cartan": [[2, -1], [-1, 2.7]]}),
+        ("coxeter", {"cartan": 5}),
+    ],
+    ids=[
+        "generator-out-of-range",
+        "cyclic-order-zero",
+        "undeclared-edge-end",
+        "subgroup-generator-out-of-range",
+        "vertices-not-a-list",
+        "simplex-not-a-list",
+        "float-cartan",
+        "cartan-not-rows",
+    ],
+)
+def test_malformed_input_is_exit_two(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    extra = ("--poincare",) if command == "coxeter" else ()
+    code, out, err = run(capsys, command, path, *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("davis", SAMPLES / "notdu.json"),

@@ -24,6 +24,7 @@ from tdlcinv.coxeter import (
     poincare_poly,
     CLASSIFIED_DEGREES,
 )
+from tdlcinv.errors import ValidationError
 
 
 def coxdia_system():
@@ -131,6 +132,9 @@ def test_cartan_validation():
     with pytest.raises(NotCrystallographic):
         CartanMatrix([[2, -5], [-1, 2]])  # pairing 5 beyond affine bound
     CartanMatrix([[2, -2], [-2, 2]])  # rank-one affine pairing 4 is fine
+    for entry in (2.7, 2.0, "2", True):  # never coerced to an integer
+        with pytest.raises(ValidationError, match="not an integer"):
+            CartanMatrix([[2, -1], [-1, entry]])
 
 
 def test_enumerate_a1_and_a2():

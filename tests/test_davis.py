@@ -179,13 +179,6 @@ def test_poset_cap():
         build_chamber(infinite_dihedral(), cap=1)
 
 
-def test_parallel_scan_matches_sequential():
-    chamber = build_chamber(affine_a2())
-    sequential = relative_table(chamber, jobs=1)
-    parallel = relative_table(chamber, jobs=2)
-    assert sequential == parallel
-
-
 def test_verdict_json_shape():
     data = duality_verdict(coxdia()).to_json()
     assert data["cd"] == 2

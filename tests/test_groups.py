@@ -1,5 +1,6 @@
 import pytest
 
+from tdlcinv.errors import ValidationError
 from tdlcinv.groups import FiniteGroup, Hom, NotAGroup, group_from_spec
 
 
@@ -75,3 +76,7 @@ def test_group_from_spec():
     assert group_from_spec({"table": [[0, 1], [1, 0]]}).order == 2
     with pytest.raises(Exception):
         group_from_spec("Z")
+    # out-of-range presets are invalid input, not constructor crashes
+    for spec in ("C0", "S0", "D2", "1x", "C2xC0"):
+        with pytest.raises(ValidationError):
+            group_from_spec(spec)
