@@ -75,19 +75,17 @@ def cmd_cohomology_c(args):
 
 def cmd_relative(args):
     data = _read_json(args.input)
-    if "complex" not in data or "subcomplex" not in data:
+    if not isinstance(data, dict) or "complex" not in data or "subcomplex" not in data:
         raise ValidationError("relative input needs 'complex' and 'subcomplex'")
     big, id_map = simplicial.load_complex(data["complex"])
     sub_raw = data["subcomplex"]
-    mapped = []
-    for simplex in sub_raw.get("maximal_simplices", []):
-        mapped.append([id_map[str(v)] for v in simplex if str(v) in id_map])
-        if len(mapped[-1]) != len(simplex):
-            raise ValidationError("subcomplex uses vertices missing from the complex")
-    for v in sub_raw.get("vertices", []):
-        if str(v) not in id_map:
-            raise ValidationError(f"subcomplex vertex {v!r} missing from the complex")
-        mapped.append([id_map[str(v)]])
+    if not isinstance(sub_raw, dict):
+        raise ValidationError("'subcomplex' must be an object")
+    raw_vertices = sub_raw.get("vertices", [])
+    if not isinstance(raw_vertices, list):
+        raise ValidationError("subcomplex 'vertices' must be a list of ids")
+    mapped = simplicial.map_simplices(sub_raw.get("maximal_simplices", []), id_map, "subcomplex")
+    mapped += simplicial.map_simplices([[v] for v in raw_vertices], id_map, "subcomplex")
     sub = (
         simplicial.SimplicialComplex.from_maximal(mapped)
         if mapped
@@ -239,6 +237,8 @@ def cmd_coxeter(args):
     lines = []
     poly = None
     if args.poincare or args.exponents:
+        if not finite.to_coxeter().is_spherical(range(finite.n)):
+            raise ValidationError("the Cartan matrix is of infinite type; --poincare and --exponents need finite type")
         poly = cox.poincare_poly(finite)
         payload["poincare"] = list(poly.coeffs)
         lines.append("length counts " + " ".join(str(c) for c in poly.coeffs))

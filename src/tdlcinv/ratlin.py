@@ -5,15 +5,20 @@ homology dimension computed here is exact, and no mathematical code path
 touches floating point.  Matrices are immutable after construction;
 elimination always works on private row copies.
 
-The elimination routine processes pivot columns left to right and picks,
-within a column, the sparsest eligible row (a cheap Markowitz-style rule to
-limit fill-in).  Correctness does not depend on the pivot choice, only the
-amount of intermediate fill does.
+``rank`` eliminates forward over Python ``int``: it makes every row
+integral, looks up the candidate rows of each column in a column-to-rows
+index and updates rows fraction-free, removing their gcd content (see
+``RationalMatrix.rank``).  ``kernel_basis`` and ``solve`` need the reduced
+rows themselves and share ``_rref``, a reduced row echelon form in
+``Fraction`` arithmetic.  Both pick, within a column, the sparsest eligible
+row (a cheap Markowitz-style rule to limit fill-in).  Correctness does not
+depend on the pivot choice, only the amount of intermediate fill does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # The scalar field.  Fraction is arbitrary precision, always reduced, and
 # keeps its denominator positive, which is exactly the contract needed here.
@@ -143,7 +148,7 @@ class RationalMatrix:
         return rows
 
     def _rref(self):
-        """Reduced row echelon form.
+        """Reduced row echelon form, for ``kernel_basis`` and ``solve`` only.
 
         Returns ``(pivots, rowmaps)`` where ``pivots`` is the ordered list of
         pivot columns and ``rowmaps[k]`` is the (normalized) sparse row whose
@@ -176,9 +181,67 @@ class RationalMatrix:
         return pivots, done
 
     def rank(self):
-        """Rank over Q by exact fraction Gaussian elimination."""
-        pivots, _ = self._rref()
-        return len(pivots)
+        """Rank over Q by fraction-free forward elimination over ``int``.
+
+        Each row is scaled by the lcm of its denominators.  Columns are
+        visited left to right; ``by_col`` maps a column to the rows with an
+        entry there, so the candidates for a pivot are looked up, not
+        searched for.  The sparsest candidate (lowest row on a tie) is the
+        pivot; every other candidate loses its entry ``a`` in the pivot
+        column, by ``row - a*pv*pivot_row`` when the pivot ``pv`` is ±1 and
+        otherwise by ``pv*row - a*pivot_row`` with both factors divided by
+        ``gcd(pv, a)`` and the result divided by its gcd content.  No entry
+        left of the current column survives, so fill-in lands only to its
+        right and the pivot row can be dropped after use.
+        """
+        scales = [1] * self.rows
+        by_col = {}
+        for (i, j), v in self._entries.items():
+            scales[i] = lcm(scales[i], v.denominator)
+            by_col.setdefault(j, set()).add(i)
+        rows = [{} for _ in range(self.rows)]
+        for (i, j), v in self._entries.items():
+            rows[i][j] = v.numerator * (scales[i] // v.denominator)
+        rank = 0
+        for col in range(self.cols):
+            ids = by_col.pop(col, None)
+            if not ids:
+                continue
+            pid = min(ids, key=lambda i: (len(rows[i]), i))
+            ids.discard(pid)
+            pivot_row = rows[pid]
+            rows[pid] = None
+            pv = pivot_row.pop(col)
+            for c in pivot_row:
+                by_col[c].discard(pid)
+            rank += 1
+            unit = pv == 1 or pv == -1
+            for rid in ids:
+                row = rows[rid]
+                a = row.pop(col)
+                if unit:
+                    f = a * pv
+                else:
+                    g = gcd(pv, a)
+                    p, f = pv // g, a // g
+                    if p != 1:
+                        for c in row:
+                            row[c] *= p
+                for c, v in pivot_row.items():
+                    new = row.get(c, 0) - f * v
+                    if new:
+                        if c not in row:
+                            by_col[c].add(rid)
+                        row[c] = new
+                    else:
+                        del row[c]
+                        by_col[c].discard(rid)
+                if not unit and row:
+                    content = gcd(*row.values())
+                    if content != 1:
+                        for c in row:
+                            row[c] //= content
+        return rank
 
     def kernel_basis(self):
         """Basis of the right kernel, one tuple per free column.

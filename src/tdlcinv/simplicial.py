@@ -355,6 +355,29 @@ def regular_tree_window(degree):
     return build
 
 
+def map_simplices(raw_simplices, id_map, owner):
+    """Map JSON simplices, lists of vertex ids, to tuples of integer ids.
+
+    Raises ``ValidationError`` when ``raw_simplices`` is not a list of
+    lists, and names the simplex that uses a vertex outside ``id_map`` or
+    repeats a vertex; ``owner`` names the complex in the message.
+    """
+    if not isinstance(raw_simplices, list) or not all(isinstance(raw, list) for raw in raw_simplices):
+        raise ValidationError(f"{owner} 'maximal_simplices' must be a list of vertex lists")
+    simplices = []
+    for raw in raw_simplices:
+        mapped = []
+        for v in raw:
+            key = str(v)
+            if key not in id_map:
+                raise ValidationError(f"{owner} simplex {raw!r} uses unknown vertex {v!r}")
+            mapped.append(id_map[key])
+        if len(set(mapped)) != len(mapped):
+            raise ValidationError(f"{owner} simplex {raw!r} repeats a vertex")
+        simplices.append(tuple(mapped))
+    return simplices
+
+
 def load_complex(data):
     """Build a complex from its JSON form, mapping opaque ids to integers.
 
@@ -369,17 +392,6 @@ def load_complex(data):
     if len(set(map(str, raw_vertices))) != len(raw_vertices):
         raise ValidationError("duplicate vertex ids")
     id_map = {str(v): i for i, v in enumerate(sorted(raw_vertices, key=str))}
-    raw_simplices = data.get("maximal_simplices", [])
-    if not isinstance(raw_simplices, list) or not all(isinstance(raw, list) for raw in raw_simplices):
-        raise ValidationError("complex 'maximal_simplices' must be a list of vertex lists")
-    simplices = []
-    for raw in raw_simplices:
-        mapped = []
-        for v in raw:
-            key = str(v)
-            if key not in id_map:
-                raise ValidationError(f"simplex uses unknown vertex {v!r}")
-            mapped.append(id_map[key])
-        simplices.append(tuple(mapped))
+    simplices = map_simplices(data.get("maximal_simplices", []), id_map, "complex")
     simplices.extend((i,) for i in id_map.values())
     return SimplicialComplex.from_maximal(simplices), id_map

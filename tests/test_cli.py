@@ -165,6 +165,16 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         ("homology", {"vertices": ["a"], "maximal_simplices": ["a"]}),
         ("coxeter", {"cartan": [[2, -1], [-1, 2.7]]}),
         ("coxeter", {"cartan": 5}),
+        ("coxeter", {"cartan": [[2, -2], [-2, 2]]}),
+        ("homology", {"vertices": [1], "maximal_simplices": [[1, 1]]}),
+        ("relative", {"complex": {"vertices": ["a"], "maximal_simplices": []}, "subcomplex": 5}),
+        (
+            "relative",
+            {
+                "complex": {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]]},
+                "subcomplex": {"maximal_simplices": [["a", "a"]]},
+            },
+        ),
     ],
     ids=[
         "generator-out-of-range",
@@ -175,6 +185,10 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "simplex-not-a-list",
         "float-cartan",
         "cartan-not-rows",
+        "infinite-type-poincare",
+        "repeated-vertex",
+        "subcomplex-not-an-object",
+        "subcomplex-repeated-vertex",
     ],
 )
 def test_malformed_input_is_exit_two(tmp_path, capsys, command, payload):

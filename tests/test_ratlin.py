@@ -93,19 +93,68 @@ def test_solve_consistent_and_inconsistent():
         singular.solve([0, 1])
 
 
-def _random_matrix(rng, rows, cols, density=0.5):
+def _random_matrix(rng, rows, cols, density=0.5, bound=3, denominator=3):
     entries = {}
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                entries[(i, j)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                entries[(i, j)] = Fraction(rng.randint(-bound, bound), rng.randint(1, denominator))
     return RationalMatrix(rows, cols, entries)
 
 
-def test_rank_equals_transpose_rank_and_rank_nullity():
+def _integer_matrix(rng, rows, cols, bound=4):
+    density = rng.uniform(0.1, 0.6)
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                entries[(i, j)] = rng.randint(-bound, bound)
+    return RationalMatrix(rows, cols, entries)
+
+
+def _sign_matrix(rng, rows, cols):
+    # boundary-like: each column has at most three entries, each +-1
+    entries = {}
+    for j in range(cols):
+        for i in rng.sample(range(rows), min(rows, rng.randint(1, 3))):
+            entries[(i, j)] = rng.choice((-1, 1))
+    return RationalMatrix(rows, cols, entries)
+
+
+def _rank_test_matrices():
     rng = random.Random(7)
     for _ in range(60):
-        m = _random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+        yield _random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+    for n in (0, 1, 7):
+        yield RationalMatrix.zero(0, n)
+        yield RationalMatrix.zero(n, 0)
+    # integer entries in -4..4, so pivots other than +-1 and the gcd content
+    # step occur; the products have rank at most their inner size
+    for _ in range(12):
+        yield _integer_matrix(rng, rng.randint(1, 30), rng.randint(1, 30))
+    for _ in range(12):
+        inner = rng.randint(1, 12)
+        left = _integer_matrix(rng, rng.randint(1, 24), inner, bound=2)
+        yield left @ _integer_matrix(rng, inner, rng.randint(1, 24), bound=2)
+    for _ in range(12):
+        yield _sign_matrix(rng, rng.randint(1, 30), rng.randint(1, 30))
+    # denominators up to 6 exercise the scaling of each row by their lcm;
+    # dividing the rows or the columns of a low-rank product keeps its rank
+    for k in range(20):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        yield _random_matrix(rng, rows, cols, bound=5, denominator=6)
+        inner = rng.randint(1, 6)
+        low = _integer_matrix(rng, rows, inner, bound=2) @ _integer_matrix(rng, inner, cols, bound=2)
+        divisors = [rng.randint(1, 6) for _ in range(max(rows, cols))]
+        yield RationalMatrix(
+            rows,
+            cols,
+            {(i, j): v / divisors[i if k % 2 else j] for (i, j), v in low.entries().items()},
+        )
+
+
+def test_rank_equals_transpose_rank_and_rank_nullity():
+    for m in _rank_test_matrices():
         r = m.rank()
         assert r == m.transpose().rank()
         assert m.cols == r + len(m.kernel_basis())
