@@ -114,9 +114,7 @@ def cmd_graph(args):
 
 def _element_ids(data, key, group):
     ids = data.get(key, [])
-    if not isinstance(ids, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < group.order for x in ids
-    ):
+    if not isinstance(ids, list) or not all(map(group.is_element, ids)):
         raise ValidationError(f"{key!r} must list element ids 0..{group.order - 1}")
     return ids
 

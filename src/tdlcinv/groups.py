@@ -2,31 +2,88 @@
 
 Elements are the integers ``0..order-1``.  Groups built by the named
 constructors are correct by construction; tables coming from external input
-go through ``from_table`` which checks the group axioms in full (the
-associativity scan is capped at order 512).
+go through ``from_table``, which checks the group axioms in full at every
+order.  The table must be n rows of n ``int`` entries in ``0..n-1``.
+Associativity is proved by Light's test (Clifford–Preston, *The Algebraic
+Theory of Semigroups* I, §1.2): the elements g with (a·g)·c = a·(g·c) for
+all a and c form a submagma, so it suffices to check the identity for g in
+a generating set of the table as a magma.  A greedy generating set costs
+O(n²) to find and has at most 1 + log₂ n elements for a group, so the whole
+check is O(n²·log n) instead of the O(n³) scan over all triples.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 
-ASSOCIATIVITY_CHECK_CAP = 512
-
 
 class NotAGroup(ValidationError):
     pass
+
+
+def _checked_table(mult):
+    """The table as a tuple of rows, once it is shown to be closed and
+    associative; raises ``NotAGroup`` naming the first violation."""
+    if not isinstance(mult, (list, tuple)) or not mult:
+        raise NotAGroup("table must be a nonempty list of rows")
+    n = len(mult)
+    for row in mult:
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise NotAGroup(f"table must have {n} rows of length {n}")
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            raise NotAGroup(f"table entries must be element ids 0..{n - 1}")
+    table = tuple(tuple(row) for row in mult)
+    for b in _magma_generators(table):
+        row_b = table[b]
+        for a, row_a in enumerate(table):
+            row_ab = table[row_a[b]]
+            if row_ab != tuple(map(row_a.__getitem__, row_b)):
+                c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
+    return table
+
+
+def _magma_generators(table):
+    """A generating set of the table as a magma.
+
+    Each generator is the smallest element not yet generated; the generated
+    set is then closed under products in both orders, each new element being
+    multiplied with every member once, so the closure costs O(n²) in all.
+    Associativity and inverses are not assumed: they are what is checked.
+    """
+    n = len(table)
+    generated = bytearray(n)
+    count = 0
+    generators = []
+    members = []
+    for g in range(n):
+        if generated[g]:
+            continue
+        generators.append(g)
+        generated[g] = 1
+        count += 1
+        pending = [g]
+        while pending and count < n:
+            x = pending.pop()
+            members.append(x)
+            row_x = table[x]
+            for y in members:
+                for z in (row_x[y], table[y][x]):
+                    if not generated[z]:
+                        generated[z] = 1
+                        count += 1
+                        pending.append(z)
+    return generators
 
 
 class FiniteGroup:
     __slots__ = ("order", "mult", "inv", "identity", "name")
 
     def __init__(self, mult, name="G", _trusted=False):
-        table = tuple(tuple(row) for row in mult)
+        table = tuple(tuple(row) for row in mult) if _trusted else _checked_table(mult)
         self.order = len(table)
         self.mult = table
         self.name = name
-        if not _trusted:
-            self._check_axioms()
         identity = None
         for e in range(self.order):
             if all(table[e][x] == x for x in range(self.order)):
@@ -44,25 +101,6 @@ class FiniteGroup:
             if inverses[a] is None:
                 raise NotAGroup(f"element {a} has no inverse")
         self.inv = tuple(inverses)
-
-    def _check_axioms(self):
-        n = self.order
-        if n == 0:
-            raise NotAGroup("empty table")
-        for row in self.mult:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise NotAGroup("table is not closed")
-        if n <= ASSOCIATIVITY_CHECK_CAP:
-            table = self.mult
-            for a in range(n):
-                row_a = table[a]
-                for b in range(n):
-                    ab = row_a[b]
-                    row_ab = table[ab]
-                    row_b = table[b]
-                    for c in range(n):
-                        if row_ab[c] != row_a[row_b[c]]:
-                            raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
 
     @classmethod
     def from_table(cls, table, name="G"):
@@ -155,6 +193,10 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
+    def is_element(self, x):
+        """Whether ``x`` is an element id: an ``int`` (not a ``bool``) in range."""
+        return type(x) is int and 0 <= x < self.order
+
     def op(self, a, b):
         return self.mult[a][b]
 
@@ -229,6 +271,10 @@ class Hom:
         generate the domain and the extension must be single-valued."""
         if len(generators) != len(images):
             raise ValidationError("generators and images differ in length")
+        if not all(map(dom.is_element, generators)):
+            raise ValidationError(f"generators must be element ids 0..{dom.order - 1}")
+        if not all(map(cod.is_element, images)):
+            raise ValidationError(f"images must be element ids 0..{cod.order - 1}")
         table = {dom.identity: cod.identity}
         frontier = [dom.identity]
         while frontier:

@@ -145,16 +145,24 @@ def load_graph(data):
     """Read the JSON graph form {"vertices": [...], "edges": [{id,o,t,bar}]}."""
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValidationError("graph JSON needs 'vertices' and 'edges'")
+    vertices, edges = data["vertices"], data["edges"]
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise ValidationError("graph 'vertices' and 'edges' must be lists")
+    if not all(type(v) in (str, int) for v in vertices):
+        raise ValidationError("vertex ids must be strings or integers")
     origin, terminus, bar = {}, {}, {}
-    for edge in data["edges"]:
-        try:
-            e = edge["id"]
-            origin[e] = edge["o"]
-            terminus[e] = edge["t"]
-            bar[e] = edge["bar"]
-        except (KeyError, TypeError):
-            raise ValidationError(f"edge record {edge!r} needs id/o/t/bar")
-    return SerreGraph(data["vertices"], origin, terminus, bar)
+    fields = ("id", "o", "t", "bar")
+    for edge in edges:
+        if not isinstance(edge, dict) or not all(type(edge.get(k)) in (str, int) for k in fields):
+            raise ValidationError(f"edge record {edge!r} needs id/o/t/bar as strings or integers")
+        e = edge["id"]
+        origin[e] = edge["o"]
+        terminus[e] = edge["t"]
+        bar[e] = edge["bar"]
+    # the orientation compares edge ids, so they must be of one type
+    if len({type(e) for e in origin}) > 1:
+        raise ValidationError("edge ids must be all strings or all integers")
+    return SerreGraph(vertices, origin, terminus, bar)
 
 
 class FiniteGroupOracle:

@@ -78,6 +78,17 @@ def dense_homology(boundaries_dense):
     return dims
 
 
+def is_associative(table):
+    """Associativity of a multiplication table by the scan over all triples."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return False
+    return True
+
+
 def is_tree_dfs(vertex_list, geometric_edges):
     """Tree test by DFS cycle detection plus connectivity.
 

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,15 @@ import pytest
 from tdlcinv.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _loop_gog(group, embed_to, embed_from):
+    edge = {"id": "e", "from": "a", "to": "a", "group": "C2", "embed_to": embed_to, "embed_from": embed_from}
+    return {"vertices": ["a"], "vertex_groups": {"a": group}, "edges": [edge]}
+
+
+NON_ASSOCIATIVE_520 = [[(a + b) % 520 for b in range(520)] for a in range(520)]
+NON_ASSOCIATIVE_520[2][3] = 6
 
 
 def run(capsys, *argv):
@@ -175,6 +185,29 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
                 "subcomplex": {"maximal_simplices": [["a", "a"]]},
             },
         ),
+        ("rough-cayley", {"group": {"table": [[0, 1], [1, 0.0]]}}),
+        ("rough-cayley", {"group": {"table": [[0, 1], [1, "0"]]}}),
+        ("rough-cayley", {"group": {"table": [5]}}),
+        ("rough-cayley", {"group": {"table": [[0, 1.5], [1, 0]]}}),
+        ("rough-cayley", {"group": {"table": [[0, True], [1, 0]]}, "generators": [1]}),
+        ("rough-cayley", {"group": {"table": NON_ASSOCIATIVE_520}, "generators": [1]}),
+        ("gog", _loop_gog("C3", {"gens": [1], "images": [7]}, {"gens": [1], "images": [0]})),
+        ("gog", _loop_gog("C4", {"gens": [5], "images": [2]}, {"gens": [1], "images": [2]})),
+        ("gog", _loop_gog("C2", {"gens": [1], "images": [True]}, {"gens": [1], "images": [1]})),
+        ("gog", _loop_gog("C4", {"gens": [1], "images": [2.0]}, {"gens": [1], "images": [2]})),
+        ("graph", {"vertices": 5, "edges": []}),
+        ("graph", {"vertices": ["x"], "edges": 5}),
+        ("graph", {"vertices": [["x"]], "edges": []}),
+        (
+            "graph",
+            {
+                "vertices": ["x", "y"],
+                "edges": [
+                    {"id": 1, "o": "x", "t": "y", "bar": "A"},
+                    {"id": "A", "o": "y", "t": "x", "bar": 1},
+                ],
+            },
+        ),
     ],
     ids=[
         "generator-out-of-range",
@@ -189,6 +222,20 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "repeated-vertex",
         "subcomplex-not-an-object",
         "subcomplex-repeated-vertex",
+        "table-float-entry",
+        "table-string-entry",
+        "table-row-not-a-list",
+        "table-fractional-entry",
+        "table-bool-entry",
+        "table-non-associative-order-520",
+        "embedding-image-out-of-range",
+        "embedding-generator-out-of-range",
+        "embedding-bool-image",
+        "embedding-float-image",
+        "graph-vertices-not-a-list",
+        "graph-edges-not-a-list",
+        "graph-vertex-not-an-id",
+        "graph-mixed-edge-id-types",
     ],
 )
 def test_malformed_input_is_exit_two(tmp_path, capsys, command, payload):
@@ -221,3 +268,50 @@ def test_json_output_is_deterministic_and_round_trips(capsys, argv):
     assert first == second
     # round trip: parse then re-render reproduces the bytes
     assert json.dumps(json.loads(first), indent=2, sort_keys=True) + "\n" == first
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaf_paths(item, path + (index,))
+    else:
+        yield path
+
+
+def _replaced(value, path, leaf):
+    if not path:
+        return leaf
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], leaf)
+    return copy
+
+
+FUZZ_LEAVES = (5.5, "x", True, None, [], {}, -1)
+S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 5, 1, 3, 0],
+            [3, 5, 4, 0, 2, 1], [4, 2, 1, 5, 0, 3], [5, 3, 0, 4, 1, 2]]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("graph", json.loads((SAMPLES / "triangle_graph.json").read_text())),
+        ("rough-cayley", {"group": {"table": S3_TABLE}, "subgroup_gens": [1], "generators": [2, 3]}),
+    ],
+    ids=["graph", "rough-cayley"],
+)
+def test_fuzzed_leaf_is_exit_zero_or_two(tmp_path, capsys, command, payload):
+    """Replacing any one JSON leaf by a value of another type or range gives
+    a result or an invalid-input diagnostic, never an internal error."""
+    rng = random.Random(17)
+    paths = list(_leaf_paths(payload))
+    path_file = tmp_path / "input.json"
+    path_file.write_text(json.dumps(payload))
+    assert run(capsys, command, path_file)[0] == 0
+    for _ in range(150):
+        mutated = _replaced(payload, rng.choice(paths), rng.choice(FUZZ_LEAVES))
+        path_file.write_text(json.dumps(mutated))
+        code, _, err = run(capsys, command, path_file)
+        assert code in (0, 2), (mutated, err)

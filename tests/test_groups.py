@@ -1,5 +1,9 @@
+import random
+import re
+
 import pytest
 
+from oracles import is_associative
 from tdlcinv.errors import ValidationError
 from tdlcinv.groups import FiniteGroup, Hom, NotAGroup, group_from_spec
 
@@ -33,6 +37,69 @@ def test_from_table_validates():
         FiniteGroup.from_table([[0, 1], [1, 1]])
     ok = FiniteGroup.from_table([[0, 1], [1, 0]])
     assert ok.order == 2
+    for table in ([], 5, [[0, 1], [1]], [[0, 1], [1, 2]], [[0, -1], [1, 0]]):
+        with pytest.raises(NotAGroup):
+            FiniteGroup.from_table(table)
+
+
+def _check_against_oracle(table):
+    """``from_table`` blames associativity exactly when the oracle does, and
+    names a triple at which it fails."""
+    try:
+        FiniteGroup.from_table(table)
+        blamed = None
+    except NotAGroup as exc:
+        blamed = re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", str(exc))
+    if is_associative(table):
+        assert blamed is None
+    else:
+        a, b, c = map(int, blamed.groups())
+        assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def _relabelled(table, rng):
+    sigma = list(range(len(table)))
+    rng.shuffle(sigma)
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[sigma[a]][sigma[b]] = sigma[ab]
+    return out
+
+
+def test_from_table_associativity_matches_oracle_on_small_magmas():
+    rng = random.Random(4)
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        _check_against_oracle([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        FiniteGroup.direct_product(FiniteGroup.symmetric(4), FiniteGroup.cyclic(5)),
+        FiniteGroup.dihedral(84),
+    ],
+    ids=["S4xC5", "D84"],
+)
+def test_from_table_matches_oracle_on_relabelled_groups(group):
+    rng = random.Random(group.order)
+    table = _relabelled(group.mult, rng)
+    assert FiniteGroup.from_table(table).order == group.order
+    _check_against_oracle(table)
+    for _ in range(3):
+        broken = [row[:] for row in table]
+        a, b = rng.randrange(group.order), rng.randrange(group.order)
+        broken[a][b] = (broken[a][b] + rng.randrange(1, group.order)) % group.order
+        _check_against_oracle(broken)
+
+
+def test_from_table_checks_associativity_at_every_order():
+    table = [[(a + b) % 520 for b in range(520)] for a in range(520)]
+    assert FiniteGroup.from_table(table).order == 520
+    table[2][3] = 6
+    with pytest.raises(NotAGroup, match="associativity"):
+        FiniteGroup.from_table(table)
 
 
 def test_subgroup_and_cosets():
@@ -60,6 +127,15 @@ def test_hom_rejects_inconsistent_images():
     c3 = FiniteGroup.cyclic(3)
     with pytest.raises(Exception):
         Hom.from_generator_images(c2, c3, [1], [1])  # order 2 cannot map to order 3
+
+
+@pytest.mark.parametrize(
+    "generators, images",
+    [([-1], [0]), ([True], [0]), ([1], [-4])],
+)
+def test_hom_rejects_non_element_ids(generators, images):
+    with pytest.raises(ValidationError, match="element ids"):
+        Hom.from_generator_images(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4), generators, images)
 
 
 def test_hom_detects_non_homomorphism():
