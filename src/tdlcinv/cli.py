@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import coxeter as cox
 from . import davis
@@ -190,28 +191,53 @@ def cmd_gog(args):
     return 0
 
 
-def _parse_rational_matrix(rows):
-    from fractions import Fraction
+def _rational(value):
+    """A matrix entry: an ``int`` (not a ``bool``) as it is, or a string or
+    float read by ``Fraction(str(value))``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (str, float)):
+        try:
+            return Fraction(str(value))
+        except ValueError:
+            pass
+    raise ValidationError(f"matrix entry {value!r} is not a rational number")
 
-    return [[Fraction(str(v)) for v in row] for row in rows]
+
+def _parse_rational_matrix(rows, dim, owner):
+    if not (isinstance(rows, list) and len(rows) == dim):
+        raise ValidationError(f"{owner} must be a list of {dim} rows")
+    if not all(isinstance(row, list) and len(row) == dim for row in rows):
+        raise ValidationError(f"each row of {owner} must be a list of {dim} entries")
+    return [[_rational(v) for v in row] for row in rows]
 
 
 def _load_representation(data, gog):
-    if "dim" not in data or "vertex_actions" not in data:
+    if not isinstance(data, dict) or "dim" not in data or "vertex_actions" not in data:
         raise ValidationError("representation JSON needs 'dim' and 'vertex_actions'")
+    dim = data["dim"]
+    if type(dim) is not int or dim < 0:
+        raise ValidationError("representation 'dim' must be a non-negative integer")
+    actions = data["vertex_actions"]
+    raw_stable = data.get("stable_letters", {})
+    if not isinstance(actions, dict) or not isinstance(raw_stable, dict):
+        raise ValidationError("'vertex_actions' and 'stable_letters' must be objects")
     vertex_matrices = {}
     for v in gog.graph.vertices:
-        if v not in data["vertex_actions"]:
+        if v not in actions:
             raise ValidationError(f"no action given for vertex {v!r}")
-        vertex_matrices[v] = [_parse_rational_matrix(m) for m in data["vertex_actions"][v]]
+        if not isinstance(actions[v], list):
+            raise ValidationError(f"the action of vertex {v!r} must be a list of matrices")
+        vertex_matrices[v] = [
+            _parse_rational_matrix(m, dim, f"a matrix of vertex {v!r}") for m in actions[v]
+        ]
     stable = {}
-    raw_stable = data.get("stable_letters", {})
     for e in gog.stable_letters():
         edge_id = e[0]
         if edge_id not in raw_stable:
             raise ValidationError(f"no stable-letter matrix for edge {edge_id!r}")
-        stable[e] = _parse_rational_matrix(raw_stable[edge_id])
-    return gog_mod.PiRepresentation(data["dim"], vertex_matrices, stable)
+        stable[e] = _parse_rational_matrix(raw_stable[edge_id], dim, f"the stable letter of {edge_id!r}")
+    return gog_mod.PiRepresentation(dim, vertex_matrices, stable)
 
 
 def cmd_coxeter(args):

@@ -526,7 +526,6 @@ class PiRepresentation:
         return self._stable[e]
 
     def validate(self, gog):
-        identity = RationalMatrix.identity(self.dim)
         for v in gog.graph.vertices:
             group = gog.vertex_groups[v]
             mats = self._vertex.get(v)
@@ -535,7 +534,9 @@ class PiRepresentation:
             for m in mats:
                 if (m.rows, m.cols) != (self.dim, self.dim):
                     raise ValidationError("matrix dimensions disagree with the representation")
-            if mats[group.identity] != identity:
+            # built only once a matrix of this size exists, so that a huge
+            # 'dim' without matrices fails here instead of filling memory
+            if mats[group.identity] != RationalMatrix.identity(self.dim):
                 raise RelationViolated(f"identity of vertex {v!r} must act trivially")
             for a in group.elements:
                 for b in group.elements:
@@ -604,8 +605,12 @@ def load_gog(data):
     """
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValidationError("graph-of-groups JSON needs 'vertices' and 'edges'")
+    if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
+        raise ValidationError("graph-of-groups 'vertices' and 'edges' must be lists")
     vertices = [str(v) for v in data["vertices"]]
     raw_vgroups = data.get("vertex_groups", {})
+    if not isinstance(raw_vgroups, dict):
+        raise ValidationError("'vertex_groups' must be an object")
     vertex_groups = {}
     for v in vertices:
         if v not in raw_vgroups:
@@ -632,9 +637,12 @@ def load_gog(data):
                 if group.order != 1:
                     raise ValidationError(f"edge {edge_id!r} needs explicit embeddings")
                 return Hom(group, codomain, [codomain.identity])
-            return Hom.from_generator_images(
-                group, codomain, list(spec.get("gens", [])), list(spec.get("images", []))
-            )
+            if not isinstance(spec, dict):
+                raise ValidationError(f"an embedding of edge {edge_id!r} must be an object")
+            gens, images = spec.get("gens", []), spec.get("images", [])
+            if not isinstance(gens, list) or not isinstance(images, list):
+                raise ValidationError(f"embedding 'gens' and 'images' of edge {edge_id!r} must be lists")
+            return Hom.from_generator_images(group, codomain, gens, images)
 
         embeddings[(edge_id, "+")] = hom_from(record.get("embed_to"), vertex_groups[v])
         embeddings[(edge_id, "-")] = hom_from(record.get("embed_from"), vertex_groups[u])

@@ -1,18 +1,20 @@
 """Exact sparse linear algebra over the rationals.
 
-Entries are ``fractions.Fraction`` throughout: every rank, kernel and
-homology dimension computed here is exact, and no mathematical code path
-touches floating point.  Matrices are immutable after construction;
-elimination always works on private row copies.
+Entries are ``int`` or ``fractions.Fraction``: integers, such as the ±1 of
+every boundary matrix, are stored as they are, and every other value is
+converted to ``Fraction``.  Every rank, kernel and homology dimension
+computed here is exact, and no mathematical code path touches floating
+point.  Matrices are immutable after construction; elimination always
+works on private row copies.
 
-``rank`` eliminates forward over Python ``int``: it makes every row
-integral, looks up the candidate rows of each column in a column-to-rows
-index and updates rows fraction-free, removing their gcd content (see
-``RationalMatrix.rank``).  ``kernel_basis`` and ``solve`` need the reduced
-rows themselves and share ``_rref``, a reduced row echelon form in
-``Fraction`` arithmetic.  Both pick, within a column, the sparsest eligible
-row (a cheap Markowitz-style rule to limit fill-in).  Correctness does not
-depend on the pivot choice, only the amount of intermediate fill does.
+``rank``, ``kernel_basis`` and ``solve`` share one elimination kernel,
+``RationalMatrix._pivots``: fraction-free forward elimination over Python
+``int``, with a column-to-rows index and gcd content removal.  ``rank``
+counts its pivots; ``kernel_basis`` and ``solve`` back-substitute through
+the pivot rows in ``Fraction`` arithmetic.  Within a column the sparsest
+candidate row is the pivot (a cheap Markowitz-style rule to limit fill-in).
+Correctness does not depend on the pivot choice, only the amount of
+intermediate fill does.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class RationalMatrix:
             for (i, j), value in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry index ({i}, {j}) outside {rows}x{cols}")
-                value = Fraction(value)
+                if type(value) is not int:  # a bool, too, becomes a Fraction
+                    value = Fraction(value)
                 if value:
                     cleaned[(i, j)] = value
         self._entries = cleaned
@@ -63,7 +66,7 @@ class RationalMatrix:
                 raise ValueError("ragged rows")
             for j, value in enumerate(row):
                 if value:
-                    entries[(i, j)] = Fraction(value)
+                    entries[(i, j)] = value
         return cls(rows, cols, entries)
 
     @classmethod
@@ -72,7 +75,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     # -- plain accessors -------------------------------------------------------
 
@@ -126,7 +129,7 @@ class RationalMatrix:
         for (i, k), u in self._entries.items():
             for j, v in by_row.get(k, ()):
                 key = (i, j)
-                acc[key] = acc.get(key, Fraction(0)) + u * v
+                acc[key] = acc.get(key, 0) + u * v
         return RationalMatrix(self.rows, other.cols, acc)
 
     def apply(self, vector):
@@ -141,47 +144,15 @@ class RationalMatrix:
 
     # -- elimination core --------------------------------------------------
 
-    def _row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self._entries.items():
-            rows[i][j] = v
-        return rows
+    def _pivots(self):
+        """Fraction-free forward elimination over ``int``.
 
-    def _rref(self):
-        """Reduced row echelon form, for ``kernel_basis`` and ``solve`` only.
-
-        Returns ``(pivots, rowmaps)`` where ``pivots`` is the ordered list of
-        pivot columns and ``rowmaps[k]`` is the (normalized) sparse row whose
-        pivot is ``pivots[k]``.
-        """
-        active = [row for row in self._row_dicts() if row]
-        pivots = []
-        done = []
-        for col in range(self.cols):
-            candidates = [row for row in active if col in row]
-            if not candidates:
-                continue
-            pivot_row = min(candidates, key=len)  # sparsity pivoting
-            active.remove(pivot_row)
-            inv = Fraction(1) / pivot_row[col]
-            pivot_row = {c: v * inv for c, v in pivot_row.items()}
-            for row in active + done:
-                factor = row.get(col)
-                if factor is None:
-                    continue
-                for c, v in pivot_row.items():
-                    new = row.get(c, Fraction(0)) - factor * v
-                    if new:
-                        row[c] = new
-                    else:
-                        row.pop(c, None)
-            active = [row for row in active if row]
-            pivots.append(col)
-            done.append(pivot_row)
-        return pivots, done
-
-    def rank(self):
-        """Rank over Q by fraction-free forward elimination over ``int``.
+        Yields ``(col, pv, row)`` for each pivot column ``col``, in
+        ascending order, once every other row has lost its entry there:
+        the pivot row reads ``pv * x[col] + sum(row[c] * x[c]) = 0`` with
+        every ``c`` in ``row`` right of ``col``.  The pivot columns do not
+        depend on the pivot rule; they are the columns outside the span of
+        the columns left of them.
 
         Each row is scaled by the lcm of its denominators.  Columns are
         visited left to right; ``by_col`` maps a column to the rows with an
@@ -192,7 +163,7 @@ class RationalMatrix:
         otherwise by ``pv*row - a*pivot_row`` with both factors divided by
         ``gcd(pv, a)`` and the result divided by its gcd content.  No entry
         left of the current column survives, so fill-in lands only to its
-        right and the pivot row can be dropped after use.
+        right, and the pivot row leaves the elimination once yielded.
         """
         scales = [1] * self.rows
         by_col = {}
@@ -202,7 +173,6 @@ class RationalMatrix:
         rows = [{} for _ in range(self.rows)]
         for (i, j), v in self._entries.items():
             rows[i][j] = v.numerator * (scales[i] // v.denominator)
-        rank = 0
         for col in range(self.cols):
             ids = by_col.pop(col, None)
             if not ids:
@@ -214,7 +184,6 @@ class RationalMatrix:
             pv = pivot_row.pop(col)
             for c in pivot_row:
                 by_col[c].discard(pid)
-            rank += 1
             unit = pv == 1 or pv == -1
             for rid in ids:
                 row = rows[rid]
@@ -241,34 +210,38 @@ class RationalMatrix:
                     if content != 1:
                         for c in row:
                             row[c] //= content
-        return rank
+            yield col, pv, pivot_row
+
+    def rank(self):
+        """Rank over Q: the number of pivots of ``_pivots``.
+
+        Each pivot row is dropped as soon as it is yielded, so the
+        elimination holds only the rows still to be reduced.
+        """
+        return sum(1 for _ in self._pivots())
 
     def kernel_basis(self):
         """Basis of the right kernel, one tuple per free column.
 
         Each returned vector ``v`` satisfies ``m.apply(v) == 0`` exactly.  The
         basis is deterministic: free columns ascending, the free coordinate
-        set to 1.
+        set to 1 and the other free coordinates to 0.
         """
-        pivots, rowmaps = self._rref()
-        pivot_set = set(pivots)
+        pivots = list(self._pivots())
+        pivot_cols = {col for col, _, _ in pivots}
         basis = []
         for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
-            for col, row in zip(pivots, rowmaps):
-                coeff = row.get(free)
-                if coeff:
-                    vec[col] = -coeff
-            basis.append(tuple(vec))
+            if free not in pivot_cols:
+                vec = [Fraction(0)] * self.cols
+                vec[free] = Fraction(1)
+                basis.append(tuple(_back_substitute(pivots, vec)))
         return basis
 
     def solve(self, rhs):
         """One exact solution of ``self @ x = rhs``.
 
-        Raises ``ValueError`` when the system is inconsistent.  Free
+        Raises ``ValueError`` when the system is inconsistent, that is when
+        the augmented matrix has a pivot in its right-hand column.  Free
         coordinates are set to zero.
         """
         if len(rhs) != self.rows:
@@ -276,15 +249,22 @@ class RationalMatrix:
         aug_entries = dict(self._entries)
         for i, value in enumerate(rhs):
             if value:
-                aug_entries[(i, self.cols)] = Fraction(value)
+                aug_entries[(i, self.cols)] = value
         augmented = RationalMatrix(self.rows, self.cols + 1, aug_entries)
-        pivots, rowmaps = augmented._rref()
-        solution = [Fraction(0)] * self.cols
-        for col, row in zip(pivots, rowmaps):
-            if col == self.cols:
-                raise ValueError("inconsistent linear system")
-            solution[col] = row.get(self.cols, Fraction(0))
-        return solution
+        pivots = list(augmented._pivots())
+        if pivots and pivots[-1][0] == self.cols:
+            raise ValueError("inconsistent linear system")
+        # a kernel vector of the augmented matrix with -1 in the rhs column
+        vec = [Fraction(0)] * self.cols + [Fraction(-1)]
+        return _back_substitute(pivots, vec)[:-1]
+
+
+def _back_substitute(pivots, vec):
+    """Fill the pivot coordinates of ``vec`` from its free ones, last pivot
+    first, so that every pivot row of ``_pivots`` holds; returns ``vec``."""
+    for col, pv, row in reversed(pivots):
+        vec[col] = -sum((v * vec[c] for c, v in row.items() if vec[c]), Fraction(0)) / pv
+    return vec
 
 
 def homology_dims(boundaries):

@@ -8,8 +8,6 @@ deterministic.  Vertex and edge bases follow stored (construction) order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ValidationError
 from .ratlin import RationalMatrix
 from .simplicial import SignedSet
@@ -103,8 +101,8 @@ class SerreGraph:
             t = self._vertex_index[self.terminus[e]]
             o = self._vertex_index[self.origin[e]]
             if t != o:
-                entries[(t, j)] = Fraction(1)
-                entries[(o, j)] = Fraction(-1)
+                entries[(t, j)] = 1
+                entries[(o, j)] = -1
         return RationalMatrix(len(self.vertices), self.geometric_edge_count(), entries)
 
     def graph_invariants(self):

@@ -24,7 +24,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ValidationError
@@ -217,13 +216,34 @@ class SimplicialComplex:
         """Matrix of the boundary map from degree q to degree q-1 chains."""
         if not 1 <= q <= self.dim:
             raise DegreeOutOfRange(f"boundary degree {q} outside 1..{self.dim}")
-        rows = {s: i for i, s in enumerate(self.simplices(q - 1))}
+        return self._boundary(q, frozenset())
+
+    def _boundary(self, q, away):
+        """Boundary from degree q to q-1 on the simplices outside ``away``.
+
+        With ``away`` the simplex set of a subcomplex this is the relative
+        boundary of the pair: faces in ``away`` are dropped.  A face in
+        neither the complex nor ``away`` raises ``NotClosed``.
+        """
+        rows, kept = {}, 0
+        for s in self.simplices(q - 1):
+            if s in away:
+                rows[s] = None
+            else:
+                rows[s] = kept
+                kept += 1
+        cols = [s for s in self.simplices(q) if s not in away]
         entries = {}
-        for j, s in enumerate(self.simplices(q)):
+        for j, s in enumerate(cols):
             for drop in range(len(s)):
                 face = s[:drop] + s[drop + 1:]
-                entries[(rows[face], j)] = Fraction(-1 if drop % 2 else 1)
-        return RationalMatrix(len(rows), len(self.simplices(q)), entries)
+                try:
+                    i = rows[face]
+                except KeyError:
+                    raise NotClosed(s, face) from None
+                if i is not None:
+                    entries[(i, j)] = -1 if drop % 2 else 1
+        return RationalMatrix(kept, len(cols), entries)
 
     def chain_boundary_maps(self):
         """Full list of boundary matrices, the degree-0 map having zero rows."""
@@ -284,22 +304,13 @@ def relative_cohomology(complex_, subcomplex):
     top = complex_.dim
     if top < 0:
         return []
-    bases = []
-    for q in range(top + 1):
-        kept = [s for s in complex_.simplices(q) if s not in subcomplex]
-        bases.append({s: i for i, s in enumerate(kept)})
+    away = subcomplex.all_simplices()
     # rank of the relative boundary map in each positive degree
     ranks = [0] * (top + 2)
     for q in range(1, top + 1):
-        rows, cols = bases[q - 1], bases[q]
-        entries = {}
-        for s, j in cols.items():
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1:]
-                if face in rows:
-                    entries[(rows[face], j)] = Fraction(-1 if drop % 2 else 1)
-        ranks[q] = RationalMatrix(len(rows), len(cols), entries).rank()
-    return [len(bases[q]) - ranks[q] - ranks[q + 1] for q in range(top + 1)]
+        ranks[q] = complex_._boundary(q, away).rank()
+    kept = [len(complex_.simplices(q)) - len(subcomplex.simplices(q)) for q in range(top + 1)]
+    return [kept[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)]
 
 
 def ball_sphere_growth(builder, radii):

@@ -34,6 +34,58 @@ def dense_rank(rows):
     return rank
 
 
+def dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan elimination: first nonzero pivot, each pivot
+    row scaled to 1 and cleared from every other row.
+
+    Returns ``(reduced, pivots)``: the nonzero rows of the reduced row
+    echelon form and their pivot columns, ascending.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def dense_kernel_basis(rows, ncols):
+    """Right kernel basis read off the dense RREF: one vector per free
+    column, ascending, with that coordinate 1 and the other free ones 0."""
+    reduced, pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def dense_solve(rows, ncols, rhs):
+    """The solution of ``rows @ x = rhs`` with free coordinates 0, read off
+    the dense RREF of the augmented matrix; ``None`` when inconsistent."""
+    reduced, pivots = dense_rref([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in zip(reduced, pivots):
+        x[col] = row[ncols]
+    return x
+
+
 def subset_rank(rows):
     """Rank as the largest linearly independent subset of rows (exhaustive)."""
     best = 0

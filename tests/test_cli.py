@@ -14,6 +14,20 @@ def _loop_gog(group, embed_to, embed_from):
     return {"vertices": ["a"], "vertex_groups": {"a": group}, "edges": [edge]}
 
 
+C2_INTO_C2 = {"gens": [1], "images": [1]}
+
+
+def _c4_rep(**changes):
+    """The representation of ``samples/c4_hnn_rep.json`` with some fields replaced."""
+    rep = {"dim": 1, "vertex_actions": {"v": [[[1]], [[-1]], [[1]], [[-1]]]}, "stable_letters": {"e": [[1]]}}
+    rep.update(changes)
+    return rep
+
+
+def _c4_entry(value):
+    return _c4_rep(vertex_actions={"v": [[[1]], [[value]], [[1]], [[-1]]]})
+
+
 NON_ASSOCIATIVE_520 = [[(a + b) % 520 for b in range(520)] for a in range(520)]
 NON_ASSOCIATIVE_520[2][3] = 6
 
@@ -208,6 +222,31 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
                 ],
             },
         ),
+        ("gog", {"vertices": 5, "vertex_groups": {}, "edges": []}),
+        ("gog", {"vertices": ["a"], "vertex_groups": {"a": "C2"}, "edges": 5}),
+        ("gog", {"vertices": ["a"], "vertex_groups": 5, "edges": []}),
+        ("gog", _loop_gog("C2", 5, C2_INTO_C2)),
+        ("gog", _loop_gog("C2", C2_INTO_C2, [])),
+        ("gog", _loop_gog("C2", {"gens": 1, "images": [1]}, C2_INTO_C2)),
+        ("gog", _loop_gog("C2", C2_INTO_C2, {"gens": [1], "images": 1})),
+        ("gog --cohomology", 5),
+        ("gog --cohomology", _c4_rep(dim="x")),
+        ("gog --cohomology", _c4_rep(dim=-1)),
+        ("gog --cohomology", _c4_rep(dim=True)),
+        ("gog --cohomology", _c4_rep(dim=10**12, vertex_actions={"v": []})),
+        ("gog --cohomology", _c4_rep(vertex_actions=5)),
+        ("gog --cohomology", _c4_rep(stable_letters=5)),
+        ("gog --cohomology", _c4_rep(vertex_actions={"v": 5})),
+        ("gog --cohomology", _c4_rep(vertex_actions={"v": [5, [[-1]], [[1]], [[-1]]]})),
+        ("gog --cohomology", _c4_rep(vertex_actions={"v": [[5], [[-1]], [[1]], [[-1]]]})),
+        ("gog --cohomology", _c4_rep(dim=2, vertex_actions={
+            "v": [[[1, 0], [0, 1]], [[-1, 0], [0]], [[1, 0], [0, 1]], [[-1, 0], [0, -1]]]
+        })),
+        ("gog --cohomology", _c4_entry("x")),
+        ("gog --cohomology", _c4_entry(None)),
+        ("gog --cohomology", _c4_entry(True)),
+        ("gog --cohomology", _c4_entry([])),
+        ("gog --cohomology", _c4_entry({})),
     ],
     ids=[
         "generator-out-of-range",
@@ -236,15 +275,46 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "graph-edges-not-a-list",
         "graph-vertex-not-an-id",
         "graph-mixed-edge-id-types",
+        "gog-vertices-not-a-list",
+        "gog-edges-not-a-list",
+        "gog-vertex-groups-not-an-object",
+        "gog-embed-to-not-an-object",
+        "gog-embed-from-not-an-object",
+        "gog-gens-not-a-list",
+        "gog-images-not-a-list",
+        "rep-not-an-object",
+        "rep-dim-string",
+        "rep-dim-negative",
+        "rep-dim-bool",
+        "rep-dim-huge-without-matrices",
+        "rep-vertex-actions-not-an-object",
+        "rep-stable-letters-not-an-object",
+        "rep-matrix-list-not-a-list",
+        "rep-matrix-not-a-list",
+        "rep-row-not-a-list",
+        "rep-ragged-rows",
+        "rep-entry-string",
+        "rep-entry-null",
+        "rep-entry-bool",
+        "rep-entry-list",
+        "rep-entry-object",
     ],
 )
 def test_malformed_input_is_exit_two(tmp_path, capsys, command, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
-    extra = ("--poincare",) if command == "coxeter" else ()
-    code, out, err = run(capsys, command, path, *extra)
+    code, out, err = run(capsys, *_argv(command, path))
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ")
+
+
+def _argv(command, path):
+    """Command line for ``command`` with ``path`` as its JSON input."""
+    if command == "coxeter":
+        return command, path, "--poincare"
+    if command == "gog --cohomology":  # path holds the representation
+        return "gog", SAMPLES / "c4_hnn.json", "--cohomology", path
+    return command, path
 
 
 @pytest.mark.parametrize(
@@ -299,8 +369,10 @@ S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 5, 1, 3, 0],
     [
         ("graph", json.loads((SAMPLES / "triangle_graph.json").read_text())),
         ("rough-cayley", {"group": {"table": S3_TABLE}, "subgroup_gens": [1], "generators": [2, 3]}),
+        ("gog", json.loads((SAMPLES / "c4_hnn.json").read_text())),
+        ("gog --cohomology", json.loads((SAMPLES / "c4_hnn_rep.json").read_text())),
     ],
-    ids=["graph", "rough-cayley"],
+    ids=["graph", "rough-cayley", "gog", "gog-cohomology"],
 )
 def test_fuzzed_leaf_is_exit_zero_or_two(tmp_path, capsys, command, payload):
     """Replacing any one JSON leaf by a value of another type or range gives
@@ -309,9 +381,9 @@ def test_fuzzed_leaf_is_exit_zero_or_two(tmp_path, capsys, command, payload):
     paths = list(_leaf_paths(payload))
     path_file = tmp_path / "input.json"
     path_file.write_text(json.dumps(payload))
-    assert run(capsys, command, path_file)[0] == 0
+    assert run(capsys, *_argv(command, path_file))[0] == 0
     for _ in range(150):
         mutated = _replaced(payload, rng.choice(paths), rng.choice(FUZZ_LEAVES))
         path_file.write_text(json.dumps(mutated))
-        code, _, err = run(capsys, command, path_file)
+        code, _, err = run(capsys, *_argv(command, path_file))
         assert code in (0, 2), (mutated, err)

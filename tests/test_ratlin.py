@@ -5,7 +5,14 @@ import pytest
 
 from tdlcinv.ratlin import CompositionNonZero, RationalMatrix, homology_dims
 
-from oracles import dense_homology, dense_rank, small_integer_kernel, subset_rank
+from oracles import (
+    dense_homology,
+    dense_kernel_basis,
+    dense_rank,
+    dense_solve,
+    small_integer_kernel,
+    subset_rank,
+)
 
 # Boundary matrix of the hollow triangle on vertices a < b < c, edge basis
 # (ab, ac, bc): each edge column is terminus - origin with alternating signs.
@@ -149,7 +156,7 @@ def _rank_test_matrices():
         yield RationalMatrix(
             rows,
             cols,
-            {(i, j): v / divisors[i if k % 2 else j] for (i, j), v in low.entries().items()},
+            {(i, j): Fraction(v, divisors[i if k % 2 else j]) for (i, j), v in low.entries().items()},
         )
 
 
@@ -159,6 +166,58 @@ def test_rank_equals_transpose_rank_and_rank_nullity():
         assert r == m.transpose().rank()
         assert m.cols == r + len(m.kernel_basis())
         assert r == dense_rank(m.to_dense())
+
+
+def _oracle_test_matrices():
+    """The rank-test matrices, then 3,000 small ones (0 to 8 rows and
+    columns) from the same families."""
+    yield from _rank_test_matrices()
+    rng = random.Random(29)
+
+    def low_rank(rows, cols):
+        inner = rng.randint(1, 4)
+        return _integer_matrix(rng, rows, inner, bound=2) @ _integer_matrix(rng, inner, cols, bound=2)
+
+    def divided_low_rank(rows, cols):
+        divisors = [rng.randint(1, 6) for _ in range(cols)]
+        entries = low_rank(rows, cols).entries()
+        return RationalMatrix(rows, cols, {(i, j): Fraction(v, divisors[j]) for (i, j), v in entries.items()})
+
+    families = (
+        lambda rows, cols: _integer_matrix(rng, rows, cols),
+        lambda rows, cols: _sign_matrix(rng, rows, cols),
+        low_rank,
+        lambda rows, cols: _random_matrix(rng, rows, cols, bound=5, denominator=6),
+        divided_low_rank,
+    )
+    for k in range(3000):
+        yield families[k % len(families)](rng.randint(0, 8), rng.randint(0, 8))
+
+
+def test_kernel_basis_and_solve_match_dense_oracle():
+    rng = random.Random(31)
+    for m in _oracle_test_matrices():
+        dense = m.to_dense()
+        assert m.kernel_basis() == dense_kernel_basis(dense, m.cols)
+        x = [rng.randint(-3, 3) for _ in range(m.cols)]
+        # a right-hand side in the image, then one that usually is not
+        for rhs in (m.apply(x), [rng.randint(-2, 2) for _ in range(m.rows)]):
+            expected = dense_solve(dense, m.cols, rhs)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    m.solve(rhs)
+            else:
+                assert m.solve(rhs) == expected
+
+
+def test_int_and_fraction_entries_are_the_same_matrix():
+    ints = RationalMatrix(2, 2, {(0, 0): 1, (1, 0): -2})
+    fractions = RationalMatrix(2, 2, {(0, 0): Fraction(1), (1, 0): Fraction(-2)})
+    assert ints == fractions
+    assert hash(ints) == hash(fractions)
+    assert type(ints.entry(0, 0)) is int
+    assert type(RationalMatrix(1, 1, {(0, 0): True}).entry(0, 0)) is Fraction
+    assert RationalMatrix(1, 1, {(0, 0): 0.5}).entry(0, 0) == Fraction(1, 2)
 
 
 def test_homology_matches_dense_oracle_on_random_two_step_complexes():

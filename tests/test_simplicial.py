@@ -64,6 +64,16 @@ def test_validate_accepts_closed_and_rejects_open():
         open_complex.validate()
 
 
+def test_missing_face_raises_in_absolute_and_relative_boundary():
+    # vertex 1 is missing; the relative boundary must not drop it silently
+    open_complex = SimplicialComplex([(0,), (0, 1)], generate_closure=False)
+    with pytest.raises(NotClosed):
+        open_complex.boundary_matrix(1)
+    for away in (SimplicialComplex.empty(), SimplicialComplex([(0,)])):
+        with pytest.raises(NotClosed):
+            relative_cohomology(open_complex, away)
+
+
 def test_full_complex_on_four_vertices():
     full = SimplicialComplex.full_complex(range(4))
     full.validate()
