@@ -47,10 +47,11 @@ def _emit(args, payload, lines):
 
 def _coxeter_from_file(path):
     data = _read_json(path)
-    if "m" in data:
-        return cox.load_coxeter(data)
-    if "cartan" in data:
-        return cox.load_cartan(data).to_coxeter()
+    if isinstance(data, dict):
+        if "m" in data:
+            return cox.load_coxeter(data)
+        if "cartan" in data:
+            return cox.load_cartan(data).to_coxeter()
     raise ValidationError("expected an 'm' (Coxeter) or 'cartan' matrix")
 
 
@@ -249,7 +250,7 @@ def cmd_coxeter(args):
             finite, affine, pair = cox.finite_preset(args.preset), None, None
     else:
         data = _read_json(args.input)
-        if "finite" in data or "affine" in data:
+        if isinstance(data, dict) and ("finite" in data or "affine" in data):
             if "finite" not in data:
                 raise ValidationError("an 'affine' matrix needs its 'finite' part")
             finite = cox.load_cartan(data["finite"])

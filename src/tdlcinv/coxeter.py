@@ -7,9 +7,11 @@ Two input layers coexist:
   against the classified finite-type list.  No irrational arithmetic is
   ever needed.
 * ``CartanMatrix`` holds an integer generalized Cartan matrix and drives
-  exact element enumeration: simple reflections act on the root lattice by
-  integer matrices, group elements are deduplicated by their matrix, and
-  breadth-first search layers the group by word length.
+  exact element enumeration: an element w of the Weyl group is held as the
+  integer vector of pairings of w(rho) with the simple coroots, its negative
+  coordinates are its left descents, and each element is reached from
+  exactly one parent, so breadth-first search layers the group by word
+  length without storing the elements it has already seen.
 
 Poincaré counts, exponents, the affine/finite series identity and the
 alternating parahoric-index sum are all exact integer or rational
@@ -30,8 +32,8 @@ INFINITY = math.inf
 DEFAULT_STATE_CAP = 10 ** 6
 
 
-class StateExplosion(Exception):
-    """Reflection enumeration exceeded the configured state cap."""
+class StateExplosion(ValidationError):
+    """Weyl group enumeration would pass the configured state cap."""
 
 
 class NotAProductOfTAnalogues(ValidationError):
@@ -47,7 +49,7 @@ def _check_coxeter_matrix(m):
     for i in range(n):
         if len(m[i]) != n:
             raise ValidationError("Coxeter matrix is not square")
-        if m[i][i] != 1:
+        if type(m[i][i]) is not int or m[i][i] != 1:
             raise ValidationError("Coxeter matrix diagonal must be 1")
         for j in range(n):
             if i == j:
@@ -177,12 +179,12 @@ def load_coxeter(data):
     """Read {"size": n, "m": [[...]]} with "inf" tokens for infinite labels."""
     if not isinstance(data, dict) or "m" not in data:
         raise ValidationError("Coxeter JSON needs an 'm' matrix")
-    rows = []
-    for row in data["m"]:
-        rows.append([INFINITY if v in ("inf", "Inf", None) else v for v in row])
+    if not isinstance(data["m"], list) or not all(isinstance(row, list) for row in data["m"]):
+        raise ValidationError("Coxeter matrix 'm' must be a list of rows")
+    rows = [[INFINITY if v in ("inf", "Inf", None) else v for v in row] for row in data["m"]]
     system = CoxeterSystem(rows)
-    if "size" in data and data["size"] != system.n:
-        raise ValidationError("declared size disagrees with the matrix")
+    if "size" in data and (type(data["size"]) is not int or data["size"] != system.n):
+        raise ValidationError("declared size is not the integer size of the matrix")
     return system
 
 
@@ -227,18 +229,6 @@ class CartanMatrix:
         subset = tuple(sorted(subset))
         return CartanMatrix([[self.a[i][j] for j in subset] for i in subset])
 
-    def reflection_matrices(self):
-        """Integer matrices of the simple reflections on the root lattice:
-        generator i sends basis vector j to itself minus a[i][j] times basis
-        vector i."""
-        mats = []
-        for i in range(self.n):
-            rows = [[1 if r == c else 0 for c in range(self.n)] for r in range(self.n)]
-            for j in range(self.n):
-                rows[i][j] -= self.a[i][j]
-            mats.append(tuple(tuple(r) for r in rows))
-        return mats
-
     def to_coxeter(self):
         """Coxeter matrix from entry products: 0,1,2,3,4 give 2,3,4,6,inf."""
         product_to_label = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITY}
@@ -257,39 +247,52 @@ def load_cartan(data):
     return CartanMatrix(data)
 
 
-def _mat_mul(x, y):
-    n = len(x)
-    return tuple(
-        tuple(sum(x[r][k] * y[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-    )
-
-
 def _length_layers(cartan, max_len, state_cap):
-    """Word-length layer sizes of the reflection group from length 0 on.
+    """Word-length layer sizes of the Weyl group from length 0 on.
 
-    Breadth-first search from the identity with matrix deduplication; the
-    BFS layer of an element is its length because every generator step
-    changes length by exactly one.  The search stops after length
-    ``max_len``, or when a layer comes out empty; ``max_len=None`` runs
-    until the group is exhausted.
+    An element w is held as the integer tuple c with c_k = <w(rho), a_k^v>,
+    which is (1, ..., 1) at the identity.  The simple reflection s_i sends it
+    to c_k - c_i * a[k][i] for every k (so c_i changes sign), and
+    l(s_i w) > l(w) exactly when c_i > 0 (Kac, Infinite-dimensional Lie
+    algebras, Lemma 3.11): the negative coordinates of w are its left
+    descents.  Each element of positive length is kept only as the child
+    s_i w of the one parent for which i is its smallest descent, so every
+    element is produced exactly once and only the current layer is held.
+    The search stops after length ``max_len``, or when a layer comes out
+    empty; ``max_len=None`` runs until the group is exhausted.  It raises
+    ``StateExplosion`` as soon as more than ``state_cap`` elements are found.
     """
-    mats = cartan.reflection_matrices()
-    identity = tuple(tuple(1 if r == c else 0 for c in range(cartan.n)) for r in range(cartan.n))
-    seen = {identity}
-    frontier = [identity]
+    n = cartan.n
+    # column i of the Cartan matrix: how s_i moves every coordinate
+    columns = [tuple(cartan.a[k][i] for k in range(n)) for i in range(n)]
+    moved = [tuple(k for k in range(n) if cartan.a[k][i]) for i in range(n)]
+    frontier = [(1,) * n]
     counts = [1]
+    found = 1
     while max_len is None or len(counts) <= max_len:
         next_frontier = []
-        for w in frontier:
-            for s in mats:
-                ws = _mat_mul(w, s)
-                if ws not in seen:
-                    seen.add(ws)
-                    next_frontier.append(ws)
-            if len(seen) > state_cap:
-                raise StateExplosion(f"more than {state_cap} elements visited")
+        for c in frontier:
+            lower = []  # the descents of w below i
+            for i in range(n):
+                ci = c[i]
+                if ci < 0:
+                    lower.append(i)
+                    continue
+                column = columns[i]
+                # s_i w keeps a descent j < i unless s_i lifts it to positive
+                for j in lower:
+                    if c[j] < ci * column[j]:
+                        break
+                else:
+                    child = list(c)
+                    for k in moved[i]:
+                        child[k] -= ci * column[k]
+                    next_frontier.append(tuple(child))
+            if found + len(next_frontier) > state_cap:
+                raise StateExplosion(f"more than {state_cap} group elements enumerated, the state cap")
         if not next_frontier:
             break
+        found += len(next_frontier)
         counts.append(len(next_frontier))
         frontier = next_frontier
     return counts
@@ -427,10 +430,10 @@ def affine_series(finite_poly, exps, truncation):
         factor[0], factor[m] = 1, -1
         denominator = denominator * IntPolynomial(factor)
     num = list(finite_poly.coeffs) + [0] * (truncation + 1)
-    den = list(denominator.coeffs) + [0] * (truncation + 1)
+    den = denominator.coeffs
     out = []
     for k in range(truncation + 1):
-        value = num[k] - sum(den[j] * out[k - j] for j in range(1, k + 1))
+        value = num[k] - sum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1))
         out.append(value)  # den[0] == 1
     return out
 
@@ -440,11 +443,20 @@ def bott_check(finite_cartan, affine_cartan, truncation, state_cap=DEFAULT_STATE
 
     Compares the breadth-first layer sizes of the affine group with the
     truncated expansion of p(t) / prod(1 - t^{m_i}) built from the finite
-    group, coefficient by coefficient up to the truncation degree.
+    group, coefficient by coefficient up to the truncation degree.  The
+    series predicts how many elements the enumeration will find, so a
+    truncation past the state cap is refused before enumerating.
     """
+    if truncation < 0:
+        raise ValidationError("the truncation degree must be non-negative")
     finite_poly = poincare_poly(finite_cartan, state_cap)
     exps = exponents(finite_poly)
     series = affine_series(finite_poly, exps, truncation)
+    if sum(series) > state_cap:
+        raise StateExplosion(
+            f"the series predicts {sum(series)} elements up to length {truncation}, "
+            f"more than the state cap of {state_cap}"
+        )
     counts = enumerate_by_length(affine_cartan, truncation, state_cap)
     return series == counts
 

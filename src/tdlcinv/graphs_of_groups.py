@@ -607,6 +607,8 @@ def load_gog(data):
         raise ValidationError("graph-of-groups JSON needs 'vertices' and 'edges'")
     if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
         raise ValidationError("graph-of-groups 'vertices' and 'edges' must be lists")
+    if not all(type(v) in (str, int) for v in data["vertices"]):
+        raise ValidationError("graph-of-groups vertex ids must be strings or integers")
     vertices = [str(v) for v in data["vertices"]]
     raw_vgroups = data.get("vertex_groups", {})
     if not isinstance(raw_vgroups, dict):
@@ -620,11 +622,10 @@ def load_gog(data):
     edge_groups = {}
     embeddings = {}
     for record in data["edges"]:
-        try:
-            edge_id = str(record["id"])
-            u, v = str(record["from"]), str(record["to"])
-        except (KeyError, TypeError):
-            raise ValidationError(f"edge record {record!r} needs id/from/to")
+        if not isinstance(record, dict) or not all(type(record.get(k)) in (str, int) for k in ("id", "from", "to")):
+            raise ValidationError(f"edge record {record!r} needs id/from/to as strings or integers")
+        edge_id = str(record["id"])
+        u, v = str(record["from"]), str(record["to"])
         for end in (u, v):
             if end not in vertex_groups:
                 raise ValidationError(f"edge {edge_id!r} ends at undeclared vertex {end!r}")

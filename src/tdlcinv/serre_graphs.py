@@ -261,6 +261,8 @@ def rough_cayley_ball(oracle, generators, radius):
     seen = {base}
     frontier = [base]
     for _ in range(radius):
+        if not frontier:
+            break
         next_frontier = []
         for g in frontier:
             for s in gens:

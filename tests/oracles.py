@@ -205,3 +205,50 @@ def extension_coboundary(complex_, q):
                 inversions = sum(1 for v in simplex if v < z)
                 dense[row_of[extended]][j] = -1 if inversions % 2 else 1
     return dense
+
+
+def reflection_matrices(a):
+    """Integer matrices of the simple reflections of the Cartan matrix ``a``
+    on the root lattice: generator i sends basis vector j to itself minus
+    a[i][j] times basis vector i."""
+    n = len(a)
+    mats = []
+    for i in range(n):
+        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        for j in range(n):
+            rows[i][j] -= a[i][j]
+        mats.append(tuple(tuple(r) for r in rows))
+    return mats
+
+
+def mat_mul(x, y):
+    n = len(x)
+    return tuple(
+        tuple(sum(x[r][k] * y[k][c] for k in range(n)) for c in range(n)) for r in range(n)
+    )
+
+
+def reflection_layers(a, max_len, budget=None):
+    """Word-length layer sizes of the Weyl group of ``a``, lengths 0..max_len.
+
+    Breadth-first search over products of reflection matrices, deduplicated
+    by their matrix; past the longest element of a finite group the layers
+    are 0.  ``max_len=None`` runs until the group is exhausted.  With a
+    ``budget`` the search stops before the first layer that would take the
+    number of elements found past it, so a shorter list means the budget
+    was hit.
+    """
+    mats = reflection_matrices(a)
+    identity = tuple(tuple(int(r == c) for c in range(len(a))) for r in range(len(a)))
+    seen = {identity}
+    frontier = [identity]
+    counts = [1]
+    while frontier and (max_len is None or len(counts) <= max_len):
+        frontier = [ws for ws in {mat_mul(w, s) for w in frontier for s in mats} if ws not in seen]
+        if budget is not None and len(seen) + len(frontier) > budget:
+            return counts
+        seen.update(frontier)
+        counts.append(len(frontier))
+    if max_len is None:
+        return counts[:-1]
+    return counts + [0] * (max_len + 1 - len(counts))

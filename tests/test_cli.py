@@ -164,6 +164,28 @@ def test_coxeter_preset_all_flags(capsys):
     assert data["altsum"] is True
 
 
+@pytest.mark.parametrize(
+    "degree, reason",
+    # the series predicts 13,504,501 elements up to length 3000
+    [("3000", "state cap"), ("-1", "non-negative")],
+)
+def test_coxeter_bott_out_of_range_is_exit_two_before_enumerating(capsys, monkeypatch, degree, reason):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the enumeration ran")
+
+    monkeypatch.setattr("tdlcinv.coxeter.enumerate_by_length", no_enumeration)
+    code, out, err = run(capsys, "coxeter", "--preset", "affine A2", "--bott", degree)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ") and reason in err
+
+
+def test_rough_cayley_radius_past_the_whole_graph(capsys):
+    argv = ("rough-cayley", SAMPLES / "s3_cayley.json", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--radius", "100000000")
+    assert code == 0
+    assert out == run(capsys, *argv, "--radius", "2")[1]
+
+
 def test_missing_file_is_exit_two(capsys):
     code, _, err = run(capsys, "homology", "no_such_file.json")
     assert code == 2
@@ -223,6 +245,18 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
             },
         ),
         ("gog", {"vertices": 5, "vertex_groups": {}, "edges": []}),
+        (
+            "gog",
+            {
+                "vertices": [True, 1.5],
+                "vertex_groups": {"True": "C2", "1.5": "C3"},
+                "edges": [{"id": "e", "from": True, "to": 1.5, "group": "1"}],
+            },
+        ),
+        ("gog", {"vertices": ["True"], "vertex_groups": {"True": "C2"}, "edges": [{"id": "e", "from": "True", "to": True}]}),
+        ("davis", {"size": 2, "m": 5}),
+        ("davis", {"size": 2, "m": [5, [2, 1]]}),
+        ("davis", {"size": True, "m": [[1]]}),
         ("gog", {"vertices": ["a"], "vertex_groups": {"a": "C2"}, "edges": 5}),
         ("gog", {"vertices": ["a"], "vertex_groups": 5, "edges": []}),
         ("gog", _loop_gog("C2", 5, C2_INTO_C2)),
@@ -276,6 +310,11 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "graph-vertex-not-an-id",
         "graph-mixed-edge-id-types",
         "gog-vertices-not-a-list",
+        "gog-bool-and-float-vertex-ids",
+        "gog-bool-edge-end",
+        "davis-m-not-a-list",
+        "davis-row-not-a-list",
+        "davis-bool-size",
         "gog-edges-not-a-list",
         "gog-vertex-groups-not-an-object",
         "gog-embed-to-not-an-object",
@@ -312,6 +351,8 @@ def _argv(command, path):
     """Command line for ``command`` with ``path`` as its JSON input."""
     if command == "coxeter":
         return command, path, "--poincare"
+    if command == "coxeter --exponents":
+        return "coxeter", path, "--poincare", "--exponents"
     if command == "gog --cohomology":  # path holds the representation
         return "gog", SAMPLES / "c4_hnn.json", "--cohomology", path
     return command, path
@@ -371,8 +412,10 @@ S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 5, 1, 3, 0],
         ("rough-cayley", {"group": {"table": S3_TABLE}, "subgroup_gens": [1], "generators": [2, 3]}),
         ("gog", json.loads((SAMPLES / "c4_hnn.json").read_text())),
         ("gog --cohomology", json.loads((SAMPLES / "c4_hnn_rep.json").read_text())),
+        ("davis", json.loads((SAMPLES / "affine_a2_coxeter.json").read_text())),
+        ("coxeter --exponents", {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}),
     ],
-    ids=["graph", "rough-cayley", "gog", "gog-cohomology"],
+    ids=["graph", "rough-cayley", "gog", "gog-cohomology", "davis", "coxeter"],
 )
 def test_fuzzed_leaf_is_exit_zero_or_two(tmp_path, capsys, command, payload):
     """Replacing any one JSON leaf by a value of another type or range gives

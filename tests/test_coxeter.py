@@ -22,9 +22,13 @@ from tdlcinv.coxeter import (
     load_coxeter,
     poincare_from_degrees,
     poincare_poly,
+    AFFINE_CARTAN,
     CLASSIFIED_DEGREES,
+    FINITE_CARTAN,
 )
 from tdlcinv.errors import ValidationError
+
+from oracles import mat_mul, reflection_layers, reflection_matrices
 
 
 def coxdia_system():
@@ -152,25 +156,76 @@ def test_enumerate_counts_match_word_oracle_on_rank_two():
     # the first length at which each matrix appears
     for name in ("A2", "B2", "G2"):
         cartan = finite_preset(name)
-        mats = cartan.reflection_matrices()
+        mats = reflection_matrices(cartan.a)
         identity = tuple(tuple(int(r == c) for c in range(2)) for r in range(2))
-
-        def mul(x, y):
-            return tuple(
-                tuple(sum(x[r][k] * y[k][c] for k in range(2)) for c in range(2))
-                for r in range(2)
-            )
-
         first_seen = {identity: 0}
         layer = {identity}
         for length in range(1, 7):
-            layer = {mul(w, s) for w in layer for s in mats}
+            layer = {mat_mul(w, s) for w in layer for s in mats}
             for w in layer:
                 first_seen.setdefault(w, length)
         oracle_counts = [0] * 7
         for length in first_seen.values():
             oracle_counts[length] += 1
         assert enumerate_by_length(cartan, 6) == oracle_counts
+
+
+# off-diagonal pairs (a[i][j], a[j][i]): no edge and the products 1, 2, 3, 4
+# in both orders, so finite, affine and hyperbolic diagrams all occur
+CARTAN_PAIRS = ((0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-4, -1))
+# elements the matrix oracle may find per random matrix; hyperbolic groups
+# of rank 5 have tens of thousands of elements by length 8
+ORACLE_BUDGET = 250
+
+
+def test_enumerate_matches_matrix_oracle_on_random_cartan_matrices():
+    """Layers of 300 seeded generalized Cartan matrices of rank 1-5,
+    truncated at length 8-14, against the reflection-matrix BFS.  Where the
+    oracle's budget cuts the layers short, the next layer must also take
+    the enumeration past a state cap of the same size."""
+    rng = random.Random(6)
+    cut = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j], a[j][i] = rng.choice(CARTAN_PAIRS)
+        max_len = rng.randint(8, 14)
+        expected = reflection_layers(a, max_len, budget=ORACLE_BUDGET)
+        cartan = CartanMatrix(a)
+        assert enumerate_by_length(cartan, len(expected) - 1) == expected, a
+        if len(expected) <= max_len:
+            cut += 1
+            with pytest.raises(StateExplosion):
+                enumerate_by_length(cartan, len(expected), state_cap=ORACLE_BUDGET)
+    assert 0 < cut < 300
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CARTAN))
+def test_poincare_matches_matrix_oracle_on_finite_presets(name):
+    cartan = finite_preset(name)
+    assert list(poincare_poly(cartan).coeffs) == reflection_layers(cartan.a, None)
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_CARTAN))
+def test_enumerate_matches_matrix_oracle_on_affine_presets(name):
+    cartan = AFFINE_CARTAN[name]
+    assert enumerate_by_length(cartan, 12) == reflection_layers(cartan.a, 12)
+
+
+def test_e6_poincare_matches_classified_degrees():
+    e6 = CartanMatrix(
+        [
+            [2, 0, -1, 0, 0, 0],
+            [0, 2, 0, -1, 0, 0],
+            [-1, 0, 2, -1, 0, 0],
+            [0, -1, -1, 2, -1, 0],
+            [0, 0, 0, -1, 2, -1],
+            [0, 0, 0, 0, -1, 2],
+        ]
+    )
+    assert poincare_poly(e6) == poincare_from_degrees(CLASSIFIED_DEGREES["E6"])
 
 
 def test_state_cap():
