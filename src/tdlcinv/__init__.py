@@ -2,9 +2,10 @@
 
 Subpackages cover sparse rational linear algebra, simplicial (co)homology,
 graphs with edge inversion and coset-graph balls, finite graphs of finite
-groups with their universal trees, Coxeter/Weyl enumeration, Davis chamber
-duality verdicts, and Haar-measure-valued Euler characteristics.  Every
-mathematical value produced is an exact integer or rational.
+groups with their universal trees, Coxeter groups read off their
+classified degrees, Davis chamber duality verdicts, and Haar-measure-valued
+Euler characteristics.  Every mathematical value produced is an exact
+integer or rational.
 """
 
 from .coxeter import (

@@ -260,15 +260,12 @@ def cmd_coxeter(args):
             finite, affine, pair = cox.load_cartan(data), None, None
     payload = {}
     lines = []
-    poly = None
     if args.poincare or args.exponents:
-        if not finite.to_coxeter().is_spherical(range(finite.n)):
-            raise ValidationError("the Cartan matrix is of infinite type; --poincare and --exponents need finite type")
         poly = cox.poincare_poly(finite)
         payload["poincare"] = list(poly.coeffs)
         lines.append("length counts " + " ".join(str(c) for c in poly.coeffs))
     if args.exponents:
-        exps = cox.exponents(poly)
+        exps = cox.exponents(finite)
         payload["exponents"] = exps
         lines.append("exponents " + " ".join(str(m) for m in exps))
     if args.bott is not None:
@@ -316,10 +313,11 @@ def cmd_chevalley(args):
     }
     lines = [f"chi = {value}"]
     if args.via_parahorics:
-        affine_name = f"affine {args.type}"
-        if affine_name not in cox.AFFINE_CARTAN and args.type in ("B2",):
-            affine_name = "affine C2"
-        if affine_name not in cox.AFFINE_CARTAN:
+        affine_name = next(
+            (name for name, part in cox.AFFINE_FINITE_PART.items() if cox.FINITE_CARTAN[part].a == finite.a),
+            None,
+        )
+        if affine_name is None:
             raise ValidationError(f"no affine preset paired with type {args.type!r}")
         other = euler.chi_via_parahoric_sum(cox.affine_preset(affine_name), args.q)
         payload["parahoric_coefficient"] = str(other.coeff)

@@ -1,26 +1,31 @@
-"""Coxeter systems and crystallographic Weyl group enumeration.
+"""Coxeter systems, their growth series and the alternating parahoric sum.
 
 Two input layers coexist:
 
 * ``CoxeterSystem`` holds a Coxeter matrix (labels 2, 3, ..., infinity) and
-  answers sphericity questions by matching connected diagram components
-  against the classified finite-type list.  No irrational arithmetic is
+  classifies every connected component of a diagram as A_n, B_n, D_n,
+  E6-E8, F4, H3, H4 or I2(m), returning the degrees of that type, or None
+  when the component is of infinite type.  No irrational arithmetic is
   ever needed.
-* ``CartanMatrix`` holds an integer generalized Cartan matrix and drives
-  exact element enumeration: an element w of the Weyl group is held as the
-  integer vector of pairings of w(rho) with the simple coroots, its negative
-  coordinates are its left descents, and each element is reached from
-  exactly one parent, so breadth-first search layers the group by word
-  length without storing the elements it has already seen.
+* ``CartanMatrix`` holds an integer generalized Cartan matrix; its Weyl
+  group is the Coxeter group whose labels its entry products give.
 
-Poincaré counts, exponents, the affine/finite series identity and the
-alternating parahoric-index sum are all exact integer or rational
-computations on top of one breadth-first enumeration (``_length_layers``).
+Everything else is read off the degrees d_i (Humphreys, Reflection Groups
+and Coxeter Groups, 3.7 and 5.12).  A finite W has the Poincaré polynomial
+prod [d_i]_t and the exponents d_i - 1.  One alternating sum over the
+spherical subsets T other than the whole generating set S,
+
+    R(t) = sum of (-1)^|T| / W_T(t),
+
+gives the parahoric sum of an affine diagram, -R(q), and, by Steinberg's
+formula 1/W(1/t) = R(t) for an infinite W, its growth series.  No group
+element is ever enumerated.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,15 +34,9 @@ from .errors import ValidationError
 
 INFINITY = math.inf
 
-DEFAULT_STATE_CAP = 10 ** 6
-
-
-class StateExplosion(ValidationError):
-    """Weyl group enumeration would pass the configured state cap."""
-
-
-class NotAProductOfTAnalogues(ValidationError):
-    pass
+# `--bott N` expands two series to degree N; each coefficient costs one
+# big-integer product per coefficient of the series' denominator
+BOTT_DEGREE_CAP = 10_000
 
 
 class NotCrystallographic(ValidationError):
@@ -97,76 +96,80 @@ class CoxeterSystem:
             remaining -= comp
         return out
 
-    def is_spherical(self, subset):
-        """Whether the parabolic subgroup on ``subset`` is finite, decided by
-        diagram classification component by component."""
+    def degrees(self, subset):
+        """Degrees of the parabolic subgroup on ``subset``, ascending, read
+        off the classified type of each diagram component; None when the
+        subgroup is infinite."""
         subset = tuple(subset)
         if any(not 0 <= s < self.n for s in subset):
             raise ValidationError("subset uses unknown generators")
-        return all(self._component_is_finite(c) for c in self.components(subset))
+        found = []
+        for comp in self.components(subset):
+            comp_degrees = self._component_degrees(comp)
+            if comp_degrees is None:
+                return None
+            found.extend(comp_degrees)
+        return sorted(found)
 
-    def _component_is_finite(self, comp):
+    def is_spherical(self, subset):
+        """Whether the parabolic subgroup on ``subset`` is finite."""
+        return self.degrees(subset) is not None
+
+    def _component_degrees(self, comp):
+        """Degrees of one connected component, or None when it is infinite."""
         k = len(comp)
-        labels = [self.m[i][j] for i, j in combinations(comp, 2) if self.m[i][j] >= 3]
-        if any(lab == INFINITY for lab in labels):
-            return False
+        edges = [(i, j) for i, j in combinations(comp, 2) if self.m[i][j] >= 3]
+        if any(self.m[i][j] == INFINITY for i, j in edges):
+            return None
         if k == 1:
-            return True
+            return (2,)
         if k == 2:
-            return True  # dihedral with finite label
-        if len(labels) != k - 1:
-            return False  # connected with a cycle, or too many edges
-        heavy = sorted(lab for lab in labels if lab >= 4)
-        degrees = {i: 0 for i in comp}
-        for i, j in combinations(comp, 2):
-            if self.m[i][j] >= 3:
-                degrees[i] += 1
-                degrees[j] += 1
-        branch = [i for i in comp if degrees[i] >= 3]
+            return (2, self.m[comp[0]][comp[1]])  # I2(m)
+        if len(edges) != k - 1:
+            return None  # connected with a cycle
+        valence = Counter(v for edge in edges for v in edge)
+        branch = [i for i in comp if valence[i] >= 3]
+        heavy = [(i, j) for i, j in edges if self.m[i][j] >= 4]
         if not heavy:
             if not branch:
-                return True  # type A path
-            if len(branch) > 1 or degrees[branch[0]] > 3:
-                return False
-            arms = sorted(self._arm_lengths(comp, branch[0]))
-            if arms[0] == arms[1] == 1:
-                return True  # type D
-            return arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4])  # E6, E7, E8
+                return tuple(range(2, k + 2))  # A_k
+            if len(branch) > 1 or valence[branch[0]] > 3:
+                return None
+            return self._star_degrees(comp, branch[0])
         if branch or len(heavy) > 1:
-            return False
-        label = heavy[0]
-        heavy_edge = next(
-            (i, j) for i, j in combinations(comp, 2) if self.m[i][j] == label
-        )
-        at_end = any(degrees[v] == 1 for v in heavy_edge)
-        if label == 4:
-            if at_end:
-                return True  # type B
-            return k == 4  # F4 is the only middle-4 path
-        if label == 5:
-            return at_end and k in (3, 4)  # H3, H4
-        return False  # label >= 6 with rank >= 3
+            return None
+        (i, j), = heavy
+        label = self.m[i][j]
+        at_end = valence[i] == 1 or valence[j] == 1
+        if label == 4 and at_end:
+            return tuple(range(2, 2 * k + 1, 2))  # B_k
+        if label == 4 and k == 4:
+            return EXCEPTIONAL_DEGREES["F4"]  # the only path with a middle 4
+        if label == 5 and at_end:
+            return EXCEPTIONAL_DEGREES.get(f"H{k}")
+        return None
 
-    def _arm_lengths(self, comp, branch_vertex):
-        """Arm lengths of a tree-shaped component around its unique branch
-        vertex (callers guarantee the shape)."""
-        neighbors = [j for j in comp if j != branch_vertex and self.m[branch_vertex][j] >= 3]
-        lengths = []
-        for start in neighbors:
+    def _star_degrees(self, comp, centre):
+        """Degrees of a simply laced tree whose one branch vertex ``centre``
+        has three arms: D_k or E6-E8 by the arm lengths, else None."""
+        arms = []
+        for start in (j for j in comp if j != centre and self.m[centre][j] >= 3):
             length = 1
-            prev, here = branch_vertex, start
+            prev, here = centre, start
             while True:
-                nxt = [
-                    j
-                    for j in comp
-                    if j not in (prev, here) and self.m[here][j] >= 3
-                ]
+                nxt = [j for j in comp if j not in (prev, here) and self.m[here][j] >= 3]
                 if not nxt:
                     break
                 prev, here = here, nxt[0]
                 length += 1
-            lengths.append(length)
-        return lengths
+            arms.append(length)
+        arms.sort()
+        k = len(comp)
+        if arms[:2] == [1, 1]:
+            return tuple(sorted([*range(2, 2 * k - 1, 2), k]))  # D_k
+        if arms[:2] == [1, 2]:
+            return EXCEPTIONAL_DEGREES.get(f"E{k}")
+        return None
 
     def to_json(self):
         return {
@@ -193,7 +196,7 @@ class CartanMatrix:
 
     Entry products a_ij * a_ji up to 4 are accepted (4 occurs for the
     rank-one affine diagram); anything larger is outside the finite/affine
-    world this module enumerates.
+    world this module treats.
     """
 
     __slots__ = ("n", "a")
@@ -225,10 +228,6 @@ class CartanMatrix:
                         f"pairing a[{i}][{j}]*a[{j}][{i}] = {product} exceeds the affine bound"
                     )
 
-    def submatrix(self, subset):
-        subset = tuple(sorted(subset))
-        return CartanMatrix([[self.a[i][j] for j in subset] for i in subset])
-
     def to_coxeter(self):
         """Coxeter matrix from entry products: 0,1,2,3,4 give 2,3,4,6,inf."""
         product_to_label = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITY}
@@ -245,64 +244,6 @@ def load_cartan(data):
             raise ValidationError("Cartan JSON needs a 'cartan' matrix")
         data = data["cartan"]
     return CartanMatrix(data)
-
-
-def _length_layers(cartan, max_len, state_cap):
-    """Word-length layer sizes of the Weyl group from length 0 on.
-
-    An element w is held as the integer tuple c with c_k = <w(rho), a_k^v>,
-    which is (1, ..., 1) at the identity.  The simple reflection s_i sends it
-    to c_k - c_i * a[k][i] for every k (so c_i changes sign), and
-    l(s_i w) > l(w) exactly when c_i > 0 (Kac, Infinite-dimensional Lie
-    algebras, Lemma 3.11): the negative coordinates of w are its left
-    descents.  Each element of positive length is kept only as the child
-    s_i w of the one parent for which i is its smallest descent, so every
-    element is produced exactly once and only the current layer is held.
-    The search stops after length ``max_len``, or when a layer comes out
-    empty; ``max_len=None`` runs until the group is exhausted.  It raises
-    ``StateExplosion`` as soon as more than ``state_cap`` elements are found.
-    """
-    n = cartan.n
-    # column i of the Cartan matrix: how s_i moves every coordinate
-    columns = [tuple(cartan.a[k][i] for k in range(n)) for i in range(n)]
-    moved = [tuple(k for k in range(n) if cartan.a[k][i]) for i in range(n)]
-    frontier = [(1,) * n]
-    counts = [1]
-    found = 1
-    while max_len is None or len(counts) <= max_len:
-        next_frontier = []
-        for c in frontier:
-            lower = []  # the descents of w below i
-            for i in range(n):
-                ci = c[i]
-                if ci < 0:
-                    lower.append(i)
-                    continue
-                column = columns[i]
-                # s_i w keeps a descent j < i unless s_i lifts it to positive
-                for j in lower:
-                    if c[j] < ci * column[j]:
-                        break
-                else:
-                    child = list(c)
-                    for k in moved[i]:
-                        child[k] -= ci * column[k]
-                    next_frontier.append(tuple(child))
-            if found + len(next_frontier) > state_cap:
-                raise StateExplosion(f"more than {state_cap} group elements enumerated, the state cap")
-        if not next_frontier:
-            break
-        found += len(next_frontier)
-        counts.append(len(next_frontier))
-        frontier = next_frontier
-    return counts
-
-
-def enumerate_by_length(cartan, max_len, state_cap=DEFAULT_STATE_CAP):
-    """Word-length layer sizes of the reflection group, lengths 0..max_len,
-    zero-padded past the longest element of a finite group."""
-    counts = _length_layers(cartan, max_len, state_cap)
-    return counts + [0] * (max_len + 1 - len(counts))
 
 
 class IntPolynomial:
@@ -322,16 +263,6 @@ class IntPolynomial:
         if d < 1:
             raise ValueError("t-analogue needs d >= 1")
         return cls([1] * d)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_one(self):
-        return self.coeffs == (1,)
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, IntPolynomial):
@@ -359,106 +290,114 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(out)
 
-    def exact_div(self, divisor):
-        """Quotient when the divisor (monic) divides exactly, else None."""
-        if not divisor.coeffs or divisor.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic")
-        remainder = list(self.coeffs)
-        dd = divisor.degree
-        if len(remainder) - 1 < dd:
-            return None
-        quotient = [0] * (len(remainder) - dd)
-        for k in range(len(quotient) - 1, -1, -1):
-            q = remainder[k + dd]
-            quotient[k] = q
-            if q:
-                for i, c in enumerate(divisor.coeffs):
-                    remainder[k + i] -= q * c
-        if any(remainder):
-            return None
-        return IntPolynomial(quotient)
-
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def poincare_poly(cartan, state_cap=DEFAULT_STATE_CAP):
-    """Length generating polynomial of a finite-type Cartan matrix.
+def poincare_from_degrees(degrees):
+    """The product of the t-analogues [d]_t over the degrees."""
+    poly = IntPolynomial([1])
+    for d in degrees:
+        poly = poly * IntPolynomial.t_analogue(d)
+    return poly
 
-    The enumeration must terminate; a non-terminating (affine or worse)
-    input hits the state cap and raises ``StateExplosion``.
+
+def _finite_degrees(cartan):
+    degrees = cartan.to_coxeter().degrees(range(cartan.n))
+    if degrees is None:
+        raise ValidationError("the Cartan matrix is of infinite type; its Poincaré polynomial and exponents need finite type")
+    return degrees
+
+
+def poincare_poly(cartan):
+    """Length generating polynomial of a finite-type Cartan matrix, the
+    product of [d]_t over its degrees."""
+    return poincare_from_degrees(_finite_degrees(cartan))
+
+
+def exponents(cartan):
+    """The exponents m_i = d_i - 1 of a finite-type Cartan matrix, ascending."""
+    return [d - 1 for d in _finite_degrees(cartan)]
+
+
+def _proper_parabolics(cartan):
+    """(T, degrees of W_T or None when it is infinite) for every proper
+    subset T of the generators, by size and then lexicographically."""
+    system = cartan.to_coxeter()
+    return [
+        (subset, system.degrees(subset))
+        for size in range(cartan.n)
+        for subset in combinations(range(cartan.n), size)
+    ]
+
+
+def _alternating_sum(parabolics):
+    """R(t) = sum of (-1)^|T| / W_T(t) over the spherical ``parabolics``, as
+    (numerator, denominator).
+
+    The denominator is the product of [d]_t^(m_d), with m_d the largest
+    number of times d is a degree of one W_T.  It is monic and palindromic,
+    and it vanishes exactly where some W_T does.  Only T = {} reaches its
+    degree in the numerator, so the numerator is monic of the same degree.
     """
-    return IntPolynomial(_length_layers(cartan, None, state_cap))
+    signs = Counter()  # subsets with the same degrees share one term
+    for subset, degrees in parabolics:
+        if degrees is not None:
+            signs[tuple(degrees)] += -1 if len(subset) % 2 else 1
+    most = Counter()
+    for degrees in signs:
+        most |= Counter(degrees)
+    denominator = poincare_from_degrees(most.elements())
+    numerator = [0] * len(denominator.coeffs)
+    for degrees, sign in signs.items():
+        for k, c in enumerate(poincare_from_degrees((most - Counter(degrees)).elements()).coeffs):
+            numerator[k] += sign * c
+    return IntPolynomial(numerator), denominator
 
 
-def exponents(poly):
-    """The multiset m_i with the polynomial equal to the product of the
-    t-analogues of length m_i + 1.
+def _series(numerator, denominator, truncation):
+    """Coefficients 0..truncation of numerator / denominator, given as
+    coefficient sequences with denominator[0] == 1."""
+    num = list(numerator) + [0] * (truncation + 1)
+    out = []
+    for k in range(truncation + 1):
+        out.append(num[k] - sum(denominator[j] * out[k - j] for j in range(1, min(k, len(denominator) - 1) + 1)))
+    return out
 
-    Trial division from the largest candidate degree downward: any
-    t-analogue divisor has degree at most the largest true factor, and that
-    largest factor always divides, so the greedy choice is safe.  The
-    factorization is re-multiplied and checked exactly before returning.
+
+def enumerate_by_length(cartan, max_len):
+    """Word-length layer sizes of the Weyl group, lengths 0..max_len.
+
+    A finite group gives its Poincaré polynomial, zero-padded past the
+    longest element.  An infinite one gives its growth series W(t) by
+    Steinberg's formula 1/W(1/t) = R(t) = A(t)/D(t): D is palindromic of
+    the degree of A, so W(t) = D(t) / (A with its coefficients reversed).
     """
-    if not poly or poly.coeffs[0] != 1:
-        raise NotAProductOfTAnalogues("constant term must be 1")
-    found = []
-    remaining = poly
-    while not remaining.is_one():
-        for d in range(remaining.degree + 1, 1, -1):
-            quotient = remaining.exact_div(IntPolynomial.t_analogue(d))
-            if quotient is not None:
-                found.append(d - 1)
-                remaining = quotient
-                break
-        else:
-            raise NotAProductOfTAnalogues(f"no t-analogue divides {remaining!r}")
-    found.sort()
-    check = IntPolynomial([1])
-    for m in found:
-        check = check * IntPolynomial.t_analogue(m + 1)
-    if check != poly:
-        raise NotAProductOfTAnalogues("re-multiplication check failed")
-    return found
+    if cartan.to_coxeter().is_spherical(range(cartan.n)):
+        coeffs = poincare_poly(cartan).coeffs[: max_len + 1]
+        return list(coeffs) + [0] * (max_len + 1 - len(coeffs))
+    numerator, denominator = _alternating_sum(_proper_parabolics(cartan))
+    return _series(denominator.coeffs, numerator.coeffs[::-1], max_len)
 
 
 def affine_series(finite_poly, exps, truncation):
     """Coefficients 0..truncation of finite_poly / prod(1 - t^m)."""
     denominator = IntPolynomial([1])
     for m in exps:
-        factor = [0] * (m + 1)
-        factor[0], factor[m] = 1, -1
-        denominator = denominator * IntPolynomial(factor)
-    num = list(finite_poly.coeffs) + [0] * (truncation + 1)
-    den = denominator.coeffs
-    out = []
-    for k in range(truncation + 1):
-        value = num[k] - sum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1))
-        out.append(value)  # den[0] == 1
-    return out
+        denominator = denominator * IntPolynomial([1] + [0] * (m - 1) + [-1])
+    return _series(finite_poly.coeffs, denominator.coeffs, truncation)
 
 
-def bott_check(finite_cartan, affine_cartan, truncation, state_cap=DEFAULT_STATE_CAP):
-    """Whether the affine length counts match the finite series expansion.
-
-    Compares the breadth-first layer sizes of the affine group with the
-    truncated expansion of p(t) / prod(1 - t^{m_i}) built from the finite
-    group, coefficient by coefficient up to the truncation degree.  The
-    series predicts how many elements the enumeration will find, so a
-    truncation past the state cap is refused before enumerating.
-    """
+def bott_check(finite_cartan, affine_cartan, truncation):
+    """Whether the growth series of the affine group agrees with Bott's
+    p(t) / prod(1 - t^{m_i}), built from the finite part, coefficient by
+    coefficient up to the truncation degree."""
     if truncation < 0:
         raise ValidationError("the truncation degree must be non-negative")
-    finite_poly = poincare_poly(finite_cartan, state_cap)
-    exps = exponents(finite_poly)
-    series = affine_series(finite_poly, exps, truncation)
-    if sum(series) > state_cap:
-        raise StateExplosion(
-            f"the series predicts {sum(series)} elements up to length {truncation}, "
-            f"more than the state cap of {state_cap}"
-        )
-    counts = enumerate_by_length(affine_cartan, truncation, state_cap)
-    return series == counts
+    if truncation > BOTT_DEGREE_CAP:
+        raise ValidationError(f"the truncation degree {truncation} is above BOTT_DEGREE_CAP = {BOTT_DEGREE_CAP}")
+    series = affine_series(poincare_poly(finite_cartan), exponents(finite_cartan), truncation)
+    return series == enumerate_by_length(affine_cartan, truncation)
 
 
 @dataclass(frozen=True)
@@ -479,30 +418,26 @@ class AffineCartanPair:
             raise ValidationError("no affine diagram below rank two")
 
 
-def parahoric_sum(affine, q, state_cap=DEFAULT_STATE_CAP):
+def parahoric_sum(affine, q):
     """The exact alternating sum over proper subsets I of the affine nodes,
 
-        sum of (-1)^(|I| - 1) / p_{W(I)}(q),
+        sum of (-1)^(|I| - 1) / p_{W(I)}(q)  =  -R(q),
 
     with p_{W(I)} the length generating polynomial of the parabolic
     subgroup on I (1 for the empty subset).  Every proper subset must be
     of finite type; this holds for genuine affine diagrams and is
     validated subset by subset.
     """
+    parabolics = _proper_parabolics(affine)
+    for subset, degrees in parabolics:
+        if degrees is None:
+            raise ValidationError(f"proper subset {subset} is not finite type")
+    numerator, denominator = _alternating_sum(parabolics)
     q = Fraction(q)
-    coxeter_view = affine.to_coxeter()
-    total = Fraction(0)
-    for size in range(affine.n):
-        for subset in combinations(range(affine.n), size):
-            if not coxeter_view.is_spherical(subset):
-                raise ValidationError(f"proper subset {subset} is not finite type")
-            value = poincare_poly(affine.submatrix(subset), state_cap)(q) if subset else 1
-            sign = 1 if size % 2 else -1  # (-1) to the (size - 1)
-            total += sign / Fraction(value)
-    return total
+    return -Fraction(numerator(q), denominator(q))
 
 
-def alternating_sum_identity(pair, q, state_cap=DEFAULT_STATE_CAP):
+def alternating_sum_identity(pair, q):
     """Exact check of the proper-subset alternating sum identity.
 
     For the affine diagram on n+1 nodes, the claim verified is
@@ -515,12 +450,11 @@ def alternating_sum_identity(pair, q, state_cap=DEFAULT_STATE_CAP):
     q = Fraction(q)
     if q <= 1:
         raise ValidationError("the identity is evaluated at q > 1")
-    total = parahoric_sum(pair.affine, q, state_cap)
-    finite_poly = poincare_poly(pair.finite, state_cap)
+    total = parahoric_sum(pair.affine, q)
     denominator = Fraction(1)
-    for m in exponents(finite_poly):
+    for m in exponents(pair.finite):
         denominator *= 1 - q ** m
-    ptilde = Fraction(finite_poly(q)) / denominator
+    ptilde = Fraction(poincare_poly(pair.finite)(q)) / denominator
     n = pair.finite.n
     return total == Fraction((-1) ** (n + 1)) / ptilde
 
@@ -558,33 +492,16 @@ AFFINE_FINITE_PART = {
     "affine G2": "G2",
 }
 
-# degrees d_i of the classified finite types, including the
-# non-crystallographic ones that enumeration cannot reach
-CLASSIFIED_DEGREES = {
-    "A1": (2,),
-    "A2": (2, 3),
-    "A3": (2, 3, 4),
-    "A4": (2, 3, 4, 5),
-    "B2": (2, 4),
-    "C2": (2, 4),
-    "B3": (2, 4, 6),
-    "G2": (2, 6),
-    "D4": (2, 4, 4, 6),
-    "F4": (2, 6, 8, 12),
-    "H3": (2, 6, 10),
-    "H4": (2, 12, 20, 30),
+# degrees of the exceptional finite types, non-crystallographic H3 and H4
+# included; those of A_n, B_n, D_n and I2(m) follow their rank
+EXCEPTIONAL_DEGREES = {
     "E6": (2, 5, 6, 8, 9, 12),
     "E7": (2, 6, 8, 10, 12, 14, 18),
     "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "H3": (2, 6, 10),
+    "H4": (2, 12, 20, 30),
 }
-
-
-def poincare_from_degrees(degrees):
-    """Classified Poincaré polynomial: the product of [d]_t over the degrees."""
-    poly = IntPolynomial([1])
-    for d in degrees:
-        poly = poly * IntPolynomial.t_analogue(d)
-    return poly
 
 
 def finite_preset(name):

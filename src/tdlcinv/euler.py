@@ -137,7 +137,7 @@ def chevalley_chi(finite_cartan, q):
     q = int(q)
     poly = poincare_poly(finite_cartan)
     numerator = 1
-    for m in exponents(poly):
+    for m in exponents(finite_cartan):
         numerator *= q ** m - 1
     return HaarValue(Fraction(-numerator, poly(q)), IWAHORI_BASE)
 

@@ -22,6 +22,7 @@ representative words themselves, the root being the empty word.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -29,6 +30,11 @@ from .euler import TRIVIAL_BASE, HaarValue
 from .groups import Hom, group_from_spec
 from .ratlin import RationalMatrix
 from .serre_graphs import SerreGraph
+
+
+# vertices a ball of the universal tree may have; its size is predicted
+# before it is built
+BALL_VERTEX_CAP = 20_000
 
 
 class NotInjective(ValidationError):
@@ -279,8 +285,16 @@ class GraphOfFiniteGroups:
         representative) pairs); the empty word is the root.  Children of a
         word extend it by one edge letter with a coset representative,
         skipping exactly the combination that backtracks to the parent.
+        A negative radius, or a ball of more than ``BALL_VERTEX_CAP``
+        vertices, is refused before anything is built.
         """
         self.validate()
+        if radius < 0:
+            raise ValidationError(f"the ball radius {radius} is negative")
+        if self._ball_size(radius) > BALL_VERTEX_CAP:
+            raise ValidationError(
+                f"the radius-{radius} ball has more than BALL_VERTEX_CAP = {BALL_VERTEX_CAP} vertices"
+            )
         root = ()
         vertices = [root]
         pairs = []
@@ -304,6 +318,24 @@ class GraphOfFiniteGroups:
                         next_frontier.append(child)
             frontier = next_frontier
         return SerreGraph.from_geometric(vertices, pairs)
+
+    def _ball_size(self, radius):
+        """Vertices of the radius ball, counted layer by layer and by the
+        last directed edge of each word, as ``bass_serre_ball`` builds them;
+        the count stops once it passes ``BALL_VERTEX_CAP``."""
+        graph = self.graph
+        layer = Counter({e: len(self._transversals[e]) for e in graph.star(self._base_vertex)})
+        total = 1
+        for _ in range(radius):
+            total += sum(layer.values())
+            if not layer or total > BALL_VERTEX_CAP:
+                break
+            children = Counter()
+            for e, count in layer.items():
+                for f in graph.star(graph.terminus[e]):
+                    children[f] += count * (len(self._transversals[f]) - (f == graph.bar[e]))
+            layer = +children  # drop the edges with no children
+        return total
 
     # -- tree-action cohomology ---------------------------------------------------------------
 

@@ -255,6 +255,8 @@ def rough_cayley_ball(oracle, generators, radius):
     pairs: the graph is combinatorial.  The generator set must be
     symmetric and disjoint from the subgroup.
     """
+    if radius < 0:
+        raise ValidationError(f"the ball radius {radius} is negative")
     gens = _check_generators(oracle, generators)
     base = oracle.coset_canon(oracle.identity)
     order = [base]

@@ -252,3 +252,78 @@ def reflection_layers(a, max_len, budget=None):
     if max_len is None:
         return counts[:-1]
     return counts + [0] * (max_len + 1 - len(counts))
+
+
+def rho_orbit_layers(a, max_len):
+    """Word-length layer sizes of the Weyl group of ``a``, lengths 0..max_len.
+
+    An element w is held as the integer tuple c with c_k = <w(rho), a_k^v>,
+    which is (1, ..., 1) at the identity.  The simple reflection s_i sends it
+    to c_k - c_i * a[k][i] for every k (so c_i changes sign), and
+    l(s_i w) > l(w) exactly when c_i > 0 (Kac, Infinite-dimensional Lie
+    algebras, Lemma 3.11): the negative coordinates of w are its left
+    descents.  Each element of positive length is kept only as the child
+    s_i w of the one parent for which i is its smallest descent, so every
+    element is produced exactly once and only the current layer is held.
+    Past the longest element of a finite group the layers are 0;
+    ``max_len=None`` runs until the group is exhausted.
+    """
+    n = len(a)
+    columns = [tuple(a[k][i] for k in range(n)) for i in range(n)]
+    frontier = [(1,) * n]
+    counts = [1]
+    while frontier and (max_len is None or len(counts) <= max_len):
+        next_frontier = []
+        for c in frontier:
+            for i in range(n):
+                if c[i] < 0:
+                    continue
+                child = tuple(c[k] - c[i] * columns[i][k] for k in range(n))
+                # keep s_i w only when i is its smallest descent
+                if all(child[j] >= 0 for j in range(i)):
+                    next_frontier.append(child)
+        frontier = next_frontier
+        counts.append(len(frontier))
+    if max_len is None:
+        return counts[:-1]
+    return counts + [0] * (max_len + 1 - len(counts))
+
+
+def trial_division_exponents(coeffs):
+    """The multiset m_i with the polynomial ``coeffs`` (constant term first)
+    equal to the product of the t-analogues [m_i + 1]_t, or None.
+
+    Trial division from the largest candidate degree downward: any
+    t-analogue divisor has degree at most the largest true factor, and that
+    largest factor always divides, so the greedy choice is safe.  The
+    factorization is re-multiplied and checked before returning.
+    """
+    remaining = list(coeffs)
+    found = []
+    while remaining != [1]:
+        for d in range(len(remaining), 1, -1):
+            quotient = _divide_by_t_analogue(remaining, d)
+            if quotient is not None:
+                found.append(d - 1)
+                remaining = quotient
+                break
+        else:
+            return None
+    product = [1]
+    for m in found:
+        product = [sum(product[k - j] for j in range(m + 1) if 0 <= k - j < len(product)) for k in range(len(product) + m)]
+    return sorted(found) if product == list(coeffs) else None
+
+
+def _divide_by_t_analogue(coeffs, d):
+    """Quotient of ``coeffs`` by 1 + t + ... + t^(d-1), or None when it
+    does not divide exactly."""
+    remainder = list(coeffs)
+    if len(remainder) < d:
+        return None
+    quotient = [0] * (len(remainder) - d + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        quotient[k] = remainder[k + d - 1]
+        for i in range(d):
+            remainder[k + i] -= quotient[k]
+    return None if any(remainder) else quotient

@@ -1,10 +1,12 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from tdlcinv.cli import main
+from tdlcinv.coxeter import BOTT_DEGREE_CAP
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -166,8 +168,7 @@ def test_coxeter_preset_all_flags(capsys):
 
 @pytest.mark.parametrize(
     "degree, reason",
-    # the series predicts 13,504,501 elements up to length 3000
-    [("3000", "state cap"), ("-1", "non-negative")],
+    [(str(BOTT_DEGREE_CAP + 1), "BOTT_DEGREE_CAP"), ("-1", "non-negative")],
 )
 def test_coxeter_bott_out_of_range_is_exit_two_before_enumerating(capsys, monkeypatch, degree, reason):
     def no_enumeration(*args, **kwargs):
@@ -177,6 +178,58 @@ def test_coxeter_bott_out_of_range_is_exit_two_before_enumerating(capsys, monkey
     code, out, err = run(capsys, "coxeter", "--preset", "affine A2", "--bott", degree)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ") and reason in err
+
+
+PAIRS_WITH_A2 = {
+    "finite-A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "hyperbolic-triangle": [[2, -1, -2], [-1, 2, -1], [-2, -1, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "affine, flag, expected",
+    [
+        ("finite-A3", "--bott", (0, {"bott": False})),
+        ("finite-A3", "--altsum", (0, {"altsum": False})),
+        ("hyperbolic-triangle", "--bott", (0, {"bott": False})),
+        ("hyperbolic-triangle", "--altsum", (2, "proper subset (0, 2) is not finite type")),
+    ],
+)
+def test_coxeter_pair_whose_affine_part_is_not_affine(tmp_path, capsys, affine, flag, expected):
+    """Finite part A2 against an affine part of finite or hyperbolic type:
+    the identities fail, and the parahoric sum refuses an infinite proper
+    subset."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"finite": {"cartan": [[2, -1], [-1, 2]]}, "affine": {"cartan": PAIRS_WITH_A2[affine]}}))
+    value = {"--bott": "6", "--altsum": "2"}[flag]
+    code, out, err = run(capsys, "coxeter", path, flag, value, "--format", "json")
+    if expected[0] == 0:
+        assert (code, json.loads(out)) == expected
+    else:
+        assert (code, out) == (2, "") and expected[1] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rough-cayley", SAMPLES / "s3_cayley.json", "--radius", "-3"),
+        ("gog", SAMPLES / "c4_hnn.json", "--ball", "-2"),
+    ],
+    ids=lambda argv: str(argv[0]),
+)
+def test_negative_ball_radius_is_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "radius" in err and "negative" in err
+
+
+def test_gog_ball_past_the_vertex_cap_is_exit_two_at_once(capsys):
+    # the radius-40 ball of the C4 HNN tree has about 2.4e19 vertices
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gog", SAMPLES / "c4_hnn.json", "--ball", "40")
+    assert (code, out) == (2, "")
+    assert "BALL_VERTEX_CAP" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_rough_cayley_radius_past_the_whole_graph(capsys):
@@ -414,8 +467,11 @@ S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 5, 1, 3, 0],
         ("gog --cohomology", json.loads((SAMPLES / "c4_hnn_rep.json").read_text())),
         ("davis", json.loads((SAMPLES / "affine_a2_coxeter.json").read_text())),
         ("coxeter --exponents", {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}),
+        ("homology", json.loads((SAMPLES / "triangle.json").read_text())),
+        ("cohomology-c", json.loads((SAMPLES / "triangle.json").read_text())),
+        ("relative", json.loads((SAMPLES / "interval_pair.json").read_text())),
     ],
-    ids=["graph", "rough-cayley", "gog", "gog-cohomology", "davis", "coxeter"],
+    ids=["graph", "rough-cayley", "gog", "gog-cohomology", "davis", "coxeter", "homology", "cohomology-c", "relative"],
 )
 def test_fuzzed_leaf_is_exit_zero_or_two(tmp_path, capsys, command, payload):
     """Replacing any one JSON leaf by a value of another type or range gives

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,10 +9,7 @@ from tdlcinv.coxeter import (
     AffineCartanPair,
     CartanMatrix,
     CoxeterSystem,
-    IntPolynomial,
-    NotAProductOfTAnalogues,
     NotCrystallographic,
-    StateExplosion,
     affine_preset,
     alternating_sum_identity,
     bott_check,
@@ -23,12 +21,17 @@ from tdlcinv.coxeter import (
     poincare_from_degrees,
     poincare_poly,
     AFFINE_CARTAN,
-    CLASSIFIED_DEGREES,
     FINITE_CARTAN,
 )
 from tdlcinv.errors import ValidationError
 
-from oracles import mat_mul, reflection_layers, reflection_matrices
+from oracles import (
+    mat_mul,
+    reflection_layers,
+    reflection_matrices,
+    rho_orbit_layers,
+    trial_division_exponents,
+)
 
 
 def coxdia_system():
@@ -180,9 +183,8 @@ ORACLE_BUDGET = 250
 
 def test_enumerate_matches_matrix_oracle_on_random_cartan_matrices():
     """Layers of 300 seeded generalized Cartan matrices of rank 1-5,
-    truncated at length 8-14, against the reflection-matrix BFS.  Where the
-    oracle's budget cuts the layers short, the next layer must also take
-    the enumeration past a state cap of the same size."""
+    truncated at length 8-14, against the reflection-matrix BFS up to
+    where the oracle's budget cuts the layers short."""
     rng = random.Random(6)
     cut = 0
     for _ in range(300):
@@ -195,10 +197,7 @@ def test_enumerate_matches_matrix_oracle_on_random_cartan_matrices():
         expected = reflection_layers(a, max_len, budget=ORACLE_BUDGET)
         cartan = CartanMatrix(a)
         assert enumerate_by_length(cartan, len(expected) - 1) == expected, a
-        if len(expected) <= max_len:
-            cut += 1
-            with pytest.raises(StateExplosion):
-                enumerate_by_length(cartan, len(expected), state_cap=ORACLE_BUDGET)
+        cut += len(expected) <= max_len
     assert 0 < cut < 300
 
 
@@ -214,23 +213,74 @@ def test_enumerate_matches_matrix_oracle_on_affine_presets(name):
     assert enumerate_by_length(cartan, 12) == reflection_layers(cartan.a, 12)
 
 
-def test_e6_poincare_matches_classified_degrees():
-    e6 = CartanMatrix(
-        [
-            [2, 0, -1, 0, 0, 0],
-            [0, 2, 0, -1, 0, 0],
-            [-1, 0, 2, -1, 0, 0],
-            [0, -1, -1, 2, -1, 0],
-            [0, 0, 0, -1, 2, -1],
-            [0, 0, 0, 0, -1, 2],
-        ]
-    )
-    assert poincare_poly(e6) == poincare_from_degrees(CLASSIFIED_DEGREES["E6"])
+def test_enumerate_matches_rho_orbit_oracle_on_affine_presets_to_length_40():
+    for cartan in AFFINE_CARTAN.values():
+        assert enumerate_by_length(cartan, 40) == rho_orbit_layers(cartan.a, 40)
 
 
-def test_state_cap():
-    with pytest.raises(StateExplosion):
-        poincare_poly(CartanMatrix([[2, -2], [-2, 2]]), state_cap=50)
+def bourbaki_cartan(kind, rank):
+    """Cartan matrix of type A, B, D, E or F in Bourbaki order."""
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i in range(rank - 1):
+        a[i][i + 1] = a[i + 1][i] = -1
+    if kind == "B":
+        a[rank - 2][rank - 1] = -2
+    elif kind == "D":
+        a[rank - 2][rank - 1] = a[rank - 1][rank - 2] = 0
+        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
+    elif kind == "F":
+        a[1][2] = -2
+    elif kind == "E":  # node 1 hangs off node 3 of the path 0, 2, 3, ..., rank - 1
+        a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+        path = [0, 2, 3] + list(range(4, rank))
+        for u, v in zip(path, path[1:]):
+            a[u][v] = a[v][u] = -1
+        a[1][3] = a[3][1] = -1
+    return a
+
+
+def permuted(a, rng):
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    return [[a[i][j] for j in order] for i in order]
+
+
+@pytest.mark.parametrize("name", ["E6", "A6", "B5", "D5", "F4"])
+def test_degrees_match_rho_orbit_oracle_on_permuted_matrices(name):
+    """Poincaré polynomial and exponents from the classified degrees equal
+    the layer sizes of the rho-orbit enumeration and the t-analogue
+    factorization found by trial division, in Bourbaki and shuffled order."""
+    a = bourbaki_cartan(name[0], int(name[1:]))
+    layers = rho_orbit_layers(a, None)
+    for matrix in (a, permuted(a, random.Random(name))):
+        cartan = CartanMatrix(matrix)
+        assert list(poincare_poly(cartan).coeffs) == layers
+        assert exponents(cartan) == trial_division_exponents(layers)
+
+
+def test_trial_division_oracle():
+    assert trial_division_exponents([1, 1]) == [1]
+    assert trial_division_exponents([1, 2, 2, 1]) == [1, 2]
+    assert trial_division_exponents([1, 0, 1]) is None
+
+
+def test_degrees_of_non_crystallographic_and_reducible_types():
+    # the product of the degrees is the group order
+    for m, order in (
+        ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], 120),  # H3
+        ([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]], 14400),  # H4
+        ([[1, 7], [7, 1]], 14),  # I2(7)
+        ([[1, 2, 3], [2, 1, 2], [3, 2, 1]], 12),  # A2 x A1
+    ):
+        assert math.prod(CoxeterSystem(m).degrees(range(len(m)))) == order
+
+
+def test_poincare_poly_on_infinite_type_raises_at_once():
+    for a in ([[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]):
+        with pytest.raises(ValidationError, match="infinite type"):
+            poincare_poly(CartanMatrix(a))
+        with pytest.raises(ValidationError, match="infinite type"):
+            exponents(CartanMatrix(a))
 
 
 def test_poincare_polynomials():
@@ -245,7 +295,7 @@ def test_poincare_at_one_is_group_order_and_palindromic():
         poly = poincare_poly(finite_preset(name))
         assert poly(1) == order
         assert poly.coeffs == poly.coeffs[::-1]
-        ms = exponents(poly)
+        ms = exponents(finite_preset(name))
         total = 1
         for m in ms:
             total *= m + 1
@@ -253,20 +303,18 @@ def test_poincare_at_one_is_group_order_and_palindromic():
 
 
 def test_exponents_values():
-    assert exponents(IntPolynomial([1, 1])) == [1]
-    assert exponents(poincare_poly(finite_preset("A2"))) == [1, 2]
-    assert exponents(poincare_poly(finite_preset("B2"))) == [1, 3]
-    assert exponents(poincare_poly(finite_preset("G2"))) == [1, 5]
-    assert exponents(poincare_poly(finite_preset("B3"))) == [1, 3, 5]
-    with pytest.raises(NotAProductOfTAnalogues):
-        exponents(IntPolynomial([1, 0, 1]))
+    assert exponents(finite_preset("A1")) == [1]
+    assert exponents(finite_preset("A2")) == [1, 2]
+    assert exponents(finite_preset("B2")) == [1, 3]
+    assert exponents(finite_preset("G2")) == [1, 5]
+    assert exponents(finite_preset("B3")) == [1, 3, 5]
 
 
 def test_poincare_from_degrees_matches_enumeration():
     for name in ("A1", "A2", "B2", "G2", "A3", "B3", "D4"):
-        assert poincare_from_degrees(CLASSIFIED_DEGREES[name]) == poincare_poly(
-            finite_preset(name)
-        )
+        cartan = finite_preset(name)
+        degrees = cartan.to_coxeter().degrees(range(cartan.n))
+        assert list(poincare_from_degrees(degrees).coeffs) == rho_orbit_layers(cartan.a, None)
 
 
 def test_bott_identity():

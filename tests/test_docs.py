@@ -1,0 +1,22 @@
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def module_level_caps():
+    """(module, name) of every module-level ``*_CAP`` assignment in the library."""
+    for path in sorted((ROOT / "src" / "tdlcinv").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.endswith("_CAP"):
+                        yield path.stem, target.id
+
+
+def test_readme_names_every_cap_constant():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    caps = list(module_level_caps())
+    assert caps, "no *_CAP constant found"
+    missing = [f"{module}.{name}" for module, name in caps if f"`{name}`" not in readme]
+    assert not missing, f"README.md does not name {missing}"

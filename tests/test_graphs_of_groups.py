@@ -6,6 +6,7 @@ import pytest
 from tdlcinv.euler import HaarValue
 from tdlcinv.groups import FiniteGroup, Hom
 from tdlcinv.graphs_of_groups import (
+    BALL_VERTEX_CAP,
     NotHomomorphism,
     PiRepresentation,
     PiWord,
@@ -147,6 +148,16 @@ def test_fuzzed_instances_unimodular_and_trees():
         assert gog.unimodularity_check()
         ball = gog.bass_serre_ball(rng.randint(0, 2))
         assert ball.graph_invariants()[2]
+
+
+def test_predicted_ball_size_matches_the_built_ball():
+    rng = random.Random(31)
+    for _ in range(30):
+        gog = random_gog(rng, allow_surjective=True)
+        for radius in range(4):
+            assert gog._ball_size(radius) == len(gog.bass_serre_ball(radius).vertices)
+    line = loop_of_groups(FiniteGroup.trivial())
+    assert line._ball_size(10 ** 9) == BALL_VERTEX_CAP + 1  # counting stops past the cap
 
 
 def test_fuzzed_noncompact_chi_nonpositive():
