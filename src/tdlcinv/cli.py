@@ -313,13 +313,10 @@ def cmd_chevalley(args):
     }
     lines = [f"chi = {value}"]
     if args.via_parahorics:
-        affine_name = next(
-            (name for name, part in cox.AFFINE_FINITE_PART.items() if cox.FINITE_CARTAN[part].a == finite.a),
-            None,
-        )
-        if affine_name is None:
+        pair = next((p for p in map(cox.affine_preset, cox.AFFINE_CARTAN) if p.finite.a == finite.a), None)
+        if pair is None:
             raise ValidationError(f"no affine preset paired with type {args.type!r}")
-        other = euler.chi_via_parahoric_sum(cox.affine_preset(affine_name), args.q)
+        other = euler.chi_via_parahoric_sum(pair, args.q)
         payload["parahoric_coefficient"] = str(other.coeff)
         payload["paths_agree"] = other == value
         lines.append(f"parahoric sum {other} ({'agrees' if other == value else 'DISAGREES'})")

@@ -12,8 +12,9 @@ Two input layers coexist:
 
 Everything else is read off the degrees d_i (Humphreys, Reflection Groups
 and Coxeter Groups, 3.7 and 5.12).  A finite W has the Poincaré polynomial
-prod [d_i]_t and the exponents d_i - 1.  One alternating sum over the
-spherical subsets T other than the whole generating set S,
+prod [d_i]_t and the exponents d_i - 1.  One scan,
+``CoxeterSystem.spherical_subsets``, finds the spherical subsets T; one
+alternating sum over those other than the whole generating set S,
 
     R(t) = sum of (-1)^|T| / W_T(t),
 
@@ -37,6 +38,9 @@ INFINITY = math.inf
 # `--bott N` expands two series to degree N; each coefficient costs one
 # big-integer product per coefficient of the series' denominator
 BOTT_DEGREE_CAP = 10_000
+
+# generators a system may have for its subsets to be scanned: up to 2^n
+GENERATOR_CAP = 16
 
 
 class NotCrystallographic(ValidationError):
@@ -115,6 +119,18 @@ class CoxeterSystem:
         """Whether the parabolic subgroup on ``subset`` is finite."""
         return self.degrees(subset) is not None
 
+    def spherical_subsets(self):
+        """Yield (T, degrees of W_T) for every spherical T, the empty set
+        included, by size and then lexicographically.  Subsets of spherical
+        sets are spherical, so only those extend to the next size."""
+        if self.n > GENERATOR_CAP:
+            raise ValidationError(f"{self.n} generators exceed GENERATOR_CAP = {GENERATOR_CAP}")
+        layer = [((), [])]
+        while layer:
+            yield from layer
+            classified = ((T, self.degrees(T)) for subset, _ in layer for T in _extensions(subset, self.n))
+            layer = [(T, degrees) for T, degrees in classified if degrees is not None]
+
     def _component_degrees(self, comp):
         """Degrees of one connected component, or None when it is infinite."""
         k = len(comp)
@@ -176,6 +192,11 @@ class CoxeterSystem:
             "size": self.n,
             "m": [["inf" if v == INFINITY else v for v in row] for row in self.m],
         }
+
+
+def _extensions(subset, n):
+    """``subset`` plus one generator past its maximum, in lexicographic order."""
+    return [subset + (g,) for g in range(subset[-1] + 1 if subset else 0, n)]
 
 
 def load_coxeter(data):
@@ -320,20 +341,9 @@ def exponents(cartan):
     return [d - 1 for d in _finite_degrees(cartan)]
 
 
-def _proper_parabolics(cartan):
-    """(T, degrees of W_T or None when it is infinite) for every proper
-    subset T of the generators, by size and then lexicographically."""
-    system = cartan.to_coxeter()
-    return [
-        (subset, system.degrees(subset))
-        for size in range(cartan.n)
-        for subset in combinations(range(cartan.n), size)
-    ]
-
-
 def _alternating_sum(parabolics):
-    """R(t) = sum of (-1)^|T| / W_T(t) over the spherical ``parabolics``, as
-    (numerator, denominator).
+    """R(t) = sum of (-1)^|T| / W_T(t) over the (T, degrees of W_T) pairs
+    ``parabolics``, as (numerator, denominator).
 
     The denominator is the product of [d]_t^(m_d), with m_d the largest
     number of times d is a degree of one W_T.  It is monic and palindromic,
@@ -342,8 +352,7 @@ def _alternating_sum(parabolics):
     """
     signs = Counter()  # subsets with the same degrees share one term
     for subset, degrees in parabolics:
-        if degrees is not None:
-            signs[tuple(degrees)] += -1 if len(subset) % 2 else 1
+        signs[tuple(degrees)] += -1 if len(subset) % 2 else 1
     most = Counter()
     for degrees in signs:
         most |= Counter(degrees)
@@ -373,10 +382,11 @@ def enumerate_by_length(cartan, max_len):
     Steinberg's formula 1/W(1/t) = R(t) = A(t)/D(t): D is palindromic of
     the degree of A, so W(t) = D(t) / (A with its coefficients reversed).
     """
-    if cartan.to_coxeter().is_spherical(range(cartan.n)):
+    system = cartan.to_coxeter()
+    if system.is_spherical(range(cartan.n)):
         coeffs = poincare_poly(cartan).coeffs[: max_len + 1]
         return list(coeffs) + [0] * (max_len + 1 - len(coeffs))
-    numerator, denominator = _alternating_sum(_proper_parabolics(cartan))
+    numerator, denominator = _alternating_sum(system.spherical_subsets())
     return _series(denominator.coeffs, numerator.coeffs[::-1], max_len)
 
 
@@ -425,13 +435,16 @@ def parahoric_sum(affine, q):
 
     with p_{W(I)} the length generating polynomial of the parabolic
     subgroup on I (1 for the empty subset).  Every proper subset must be
-    of finite type; this holds for genuine affine diagrams and is
-    validated subset by subset.
+    of finite type; this holds for genuine affine diagrams.  Otherwise the
+    first infinite one, by size and then lexicographically, is named: its
+    size is the smallest, so it extends a spherical subset.
     """
-    parabolics = _proper_parabolics(affine)
-    for subset, degrees in parabolics:
-        if degrees is None:
-            raise ValidationError(f"proper subset {subset} is not finite type")
+    n = affine.n
+    parabolics = [(T, degrees) for T, degrees in affine.to_coxeter().spherical_subsets() if len(T) < n]
+    if len(parabolics) < 2 ** n - 1:
+        found = {T for T, _ in parabolics}
+        first = next(U for T, _ in parabolics for U in _extensions(T, n) if U not in found)
+        raise ValidationError(f"proper subset {first} is not finite type")
     numerator, denominator = _alternating_sum(parabolics)
     q = Fraction(q)
     return -Fraction(numerator(q), denominator(q))
@@ -484,14 +497,6 @@ AFFINE_CARTAN = {
     "affine G2": CartanMatrix([[2, -1, 0], [-1, 2, -3], [0, -1, 2]]),
 }
 
-AFFINE_FINITE_PART = {
-    "affine A1": "A1",
-    "affine A2": "A2",
-    "affine A3": "A3",
-    "affine C2": "C2",
-    "affine G2": "G2",
-}
-
 # degrees of the exceptional finite types, non-crystallographic H3 and H4
 # included; those of A_n, B_n, D_n and I2(m) follow their rank
 EXCEPTIONAL_DEGREES = {
@@ -512,7 +517,10 @@ def finite_preset(name):
 
 
 def affine_preset(name):
+    """The affine preset ``name`` paired with its finite part; node 0 is
+    the extending node of every preset."""
     try:
-        return AffineCartanPair(FINITE_CARTAN[AFFINE_FINITE_PART[name]], AFFINE_CARTAN[name])
+        affine = AFFINE_CARTAN[name]
     except KeyError:
         raise ValidationError(f"unknown affine preset {name!r}")
+    return AffineCartanPair(CartanMatrix([row[1:] for row in affine.a[1:]]), affine)

@@ -17,6 +17,8 @@ that single degree.  The scan includes T empty by default (the union of
 all mirrors); ``include_empty=False`` reproduces the nontrivial-subsets-only
 reading for comparison, which demotes rank-one cases to dimension zero.
 
+The poset is read off the scan ``CoxeterSystem.spherical_subsets``.
+
 Finite systems short-circuit: a compact group has dimension zero and is
 trivially a duality group.
 """
@@ -24,7 +26,7 @@ trivially a duality group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import islice
 
 from .coxeter import CoxeterSystem
 from .errors import ValidationError
@@ -39,30 +41,24 @@ class PosetTooLarge(ValidationError):
     pass
 
 
-DEFAULT_GENERATOR_CAP = 16
+# spherical subsets, the empty one included, a chamber may be built on
+SPHERICAL_SUBSET_CAP = 4096
 
 
 @dataclass(frozen=True)
 class SphericalPoset:
-    """All spherical generator subsets, the empty set included, sorted."""
+    """All spherical generator subsets, the empty set included, by size and
+    then lexicographically."""
 
     subsets: tuple
 
     @classmethod
-    def from_system(cls, system, cap=DEFAULT_GENERATOR_CAP, size_cap=4096):
-        if system.n > cap:
-            raise PosetTooLarge(f"{system.n} generators exceed the cap {cap}")
-        found = [frozenset()]
-        for size in range(1, system.n + 1):
-            for subset in combinations(system.generators, size):
-                if system.is_spherical(subset):
-                    found.append(frozenset(subset))
-                    if len(found) > size_cap:
-                        raise PosetTooLarge(f"more than {size_cap} spherical subsets")
-        return cls(tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s))))))
-
-    def __contains__(self, subset):
-        return frozenset(subset) in self.subsets
+    def from_system(cls, system):
+        scan = islice(system.spherical_subsets(), SPHERICAL_SUBSET_CAP + 1)
+        subsets = tuple(frozenset(subset) for subset, _ in scan)
+        if len(subsets) > SPHERICAL_SUBSET_CAP:
+            raise PosetTooLarge(f"more than SPHERICAL_SUBSET_CAP = {SPHERICAL_SUBSET_CAP} spherical subsets")
+        return cls(subsets)
 
     def __len__(self):
         return len(self.subsets)
@@ -77,7 +73,7 @@ class DavisChamber:
     mirrors: dict  # generator -> full subcomplex on subsets containing it
 
 
-def build_chamber(system, cap=DEFAULT_GENERATOR_CAP, allow_finite=False):
+def build_chamber(system, allow_finite=False):
     """Order complex of the spherical poset together with all mirrors.
 
     Raises ``WFinite`` when the full generator set is spherical (the group
@@ -85,7 +81,7 @@ def build_chamber(system, cap=DEFAULT_GENERATOR_CAP, allow_finite=False):
     """
     if system.is_spherical(tuple(system.generators)) and not allow_finite:
         raise WFinite("the full generator set is spherical")
-    poset = SphericalPoset.from_system(system, cap)
+    poset = SphericalPoset.from_system(system)
     vertex_of_subset = {subset: i for i, subset in enumerate(poset.subsets)}
 
     # chains of the inclusion order: build upward from every subset
@@ -156,11 +152,10 @@ def relative_table(chamber, include_empty=True):
     """The duality verdict of a built chamber.
 
     Scans every spherical subset T (the empty set included by default) and
-    tabulates the relative cohomology of (K, union of mirrors off T), in
-    subset order.
+    tabulates the relative cohomology of (K, union of mirrors off T) in
+    the poset's order.
     """
     rows = [_relative_row(chamber, s) for s in chamber.poset.subsets if s or include_empty]
-    rows.sort(key=lambda row: (len(row[0]), row[0]))
     degrees_seen = {degree for _, dims in rows for degree, dim in enumerate(dims) if dim}
     return DualityVerdict(
         cd=max(degrees_seen, default=0),
@@ -176,18 +171,18 @@ def finite_type_verdict(system):
     return DualityVerdict(cd=0, is_duality=True, table=((full, (1,)),))
 
 
-def duality_verdict(system, include_empty=True, cap=DEFAULT_GENERATOR_CAP):
+def duality_verdict(system, include_empty=True):
     """End-to-end verdict for a Coxeter system, finite types short-circuited."""
     if system.is_spherical(tuple(system.generators)):
         return finite_type_verdict(system)
-    chamber = build_chamber(system, cap)
+    chamber = build_chamber(system)
     return relative_table(chamber, include_empty=include_empty)
 
 
-def kac_moody_verdict(system, include_empty=True, cap=DEFAULT_GENERATOR_CAP):
+def kac_moody_verdict(system, include_empty=True):
     """Duality verdict transferred to the associated building-automorphism
     group: dimension and duality verdict coincide with the Coxeter verdict.
     Requires an infinite system."""
     if system.is_spherical(tuple(system.generators)):
         raise WFinite("transfer needs an infinite Coxeter group")
-    return duality_verdict(system, include_empty=include_empty, cap=cap)
+    return duality_verdict(system, include_empty=include_empty)

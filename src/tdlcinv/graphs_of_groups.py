@@ -85,23 +85,8 @@ def cycle_index_ratio_products(graph, edge_index):
     def ratio(e):
         return Fraction(edge_index[e]) / Fraction(edge_index[graph.bar[e]])
 
-    parent = {}
-    order = []
-    for root in graph.vertices:
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for e in sorted(graph.star(v)):
-                w = graph.terminus[e]
-                if w not in parent:
-                    parent[w] = e
-                    queue.append(w)
-    tree_edges = {e for e in parent.values() if e is not None}
-    tree_edges |= {graph.bar[e] for e in tree_edges}
+    parent = graph.bfs_parents(graph.vertices)
+    tree = set(parent.values())
 
     def path_ratio_to_root(v):
         value = Fraction(1)
@@ -113,7 +98,7 @@ def cycle_index_ratio_products(graph, edge_index):
 
     products = []
     for e in graph.orientation():
-        if e in tree_edges:
+        if e in tree or graph.bar[e] in tree:
             continue
         # cycle: root -> o(e), then e, then t(e) -> root through the tree
         value = path_ratio_to_root(graph.origin[e])
@@ -142,7 +127,7 @@ class GraphOfFiniteGroups:
         for e in graph.edges:
             if e not in self.embeddings:
                 raise ValidationError(f"no embedding for directed edge {e!r}")
-        self._tree_edges, self._base_vertex, self._tree_parent = self._spanning_tree()
+        self._base_vertex, self._tree_parent = self._spanning_tree()
         self._transversals = {}
         self._trivial_rep = {}
         self._sections = {}
@@ -162,35 +147,22 @@ class GraphOfFiniteGroups:
 
     def _spanning_tree(self):
         base = min(self.graph.vertices, key=lambda v: (str(type(v)), str(v)))
-        parent = {base: None}
-        queue = [base]
-        tree = set()
-        while queue:
-            v = queue.pop(0)
-            for e in sorted(self.graph.star(v)):
-                w = self.graph.terminus[e]
-                if w not in parent:
-                    parent[w] = e
-                    tree.add(e)
-                    tree.add(self.graph.bar[e])
-                    queue.append(w)
+        parent = self.graph.bfs_parents([base])
         if len(parent) != len(self.graph.vertices):
             raise Disconnected("underlying graph is not connected")
-        return tree, base, parent
+        return base, parent
 
     @property
     def base_vertex(self):
         return self._base_vertex
-
-    def subtree_edges(self):
-        return frozenset(self._tree_edges)
 
     def orientation(self):
         return self.graph.orientation()
 
     def stable_letters(self):
         """Oriented edges outside the maximal subtree, in id order."""
-        return tuple(e for e in self.orientation() if e not in self._tree_edges)
+        tree = set(self._tree_parent.values())
+        return tuple(e for e in self.orientation() if e not in tree and self.graph.bar[e] not in tree)
 
     # -- validation -------------------------------------------------------------------
 

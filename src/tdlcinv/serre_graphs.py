@@ -32,7 +32,7 @@ class SerreGraph:
     boundary matrix); ``orientation()`` is the column basis.
     """
 
-    __slots__ = ("vertices", "_vertex_index", "origin", "terminus", "bar", "combinatorial")
+    __slots__ = ("vertices", "_vertex_index", "origin", "terminus", "bar", "combinatorial", "_stars")
 
     def __init__(self, vertices, origin, terminus, bar):
         self.vertices = tuple(vertices)
@@ -56,6 +56,7 @@ class SerreGraph:
                 raise BadGraph(f"inverted edge {f!r} does not swap endpoints of {e!r}")
         endpoint_pairs = {(self.terminus[e], self.origin[e]) for e in self.origin}
         self.combinatorial = len(endpoint_pairs) == len(self.origin)
+        self._stars = None  # vertex -> its out-edges, indexed on first use
 
     @classmethod
     def from_geometric(cls, vertices, endpoint_pairs):
@@ -85,11 +86,33 @@ class SerreGraph:
         return len(self.origin) // 2
 
     def star(self, v):
-        return tuple(e for e in self.origin if self.origin[e] == v)
+        """The edges with origin v, in stored order."""
+        if self._stars is None:
+            self._stars = {}
+            for e, o in self.origin.items():
+                self._stars.setdefault(o, []).append(e)
+        return tuple(self._stars.get(v, ()))
 
     def degree(self, v):
         """Number of geometric edges at v, loops counted twice."""
         return len(self.star(v))
+
+    def bfs_parents(self, roots):
+        """Breadth-first spanning forest as the edge into each reached vertex
+        (None at a root); each root not yet reached starts a new search, and
+        each star is taken in sorted edge order."""
+        parent = {}
+        for root in roots:
+            if root not in parent:
+                parent[root] = None
+                queue = [root]
+                for v in queue:  # the queue grows while it is read
+                    for e in sorted(self.star(v)):
+                        w = self.terminus[e]
+                        if w not in parent:
+                            parent[w] = e
+                            queue.append(w)
+        return parent
 
     # -- the edge boundary sequence ------------------------------------------------
 

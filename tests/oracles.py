@@ -207,6 +207,17 @@ def extension_coboundary(complex_, q):
     return dense
 
 
+def brute_force_spherical_subsets(system):
+    """(T, degrees) for every spherical generator subset T, by size and then
+    lexicographically, filtered out of all subsets with ``combinations``."""
+    classified = (
+        (subset, system.degrees(subset))
+        for size in range(system.n + 1)
+        for subset in combinations(range(system.n), size)
+    )
+    return [(subset, degrees) for subset, degrees in classified if degrees is not None]
+
+
 def reflection_matrices(a):
     """Integer matrices of the simple reflections of the Cartan matrix ``a``
     on the root lattice: generator i sends basis vector j to itself minus

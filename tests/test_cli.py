@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tdlcinv.cli import main
-from tdlcinv.coxeter import BOTT_DEGREE_CAP
+from tdlcinv.coxeter import BOTT_DEGREE_CAP, GENERATOR_CAP, CoxeterSystem
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -30,6 +30,13 @@ def _c4_entry(value):
     return _c4_rep(vertex_actions={"v": [[[1]], [[value]], [[1]], [[-1]]]})
 
 
+def _affine_a(n):
+    """The pair of finite A_n and affine A_n, whose node 0 extends it."""
+    affine = [[2 if i == j else -1 if (i - j) % (n + 1) in (1, n) else 0 for j in range(n + 1)] for i in range(n + 1)]
+    return {"finite": {"cartan": [row[1:] for row in affine[1:]]}, "affine": {"cartan": affine}}
+
+
+ABOVE_GENERATOR_CAP = GENERATOR_CAP + 1
 NON_ASSOCIATIVE_520 = [[(a + b) % 520 for b in range(520)] for a in range(520)]
 NON_ASSOCIATIVE_520[2][3] = 6
 
@@ -334,6 +341,11 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         ("gog --cohomology", _c4_entry(True)),
         ("gog --cohomology", _c4_entry([])),
         ("gog --cohomology", _c4_entry({})),
+        ("coxeter --bott", _affine_a(ABOVE_GENERATOR_CAP - 1)),
+        ("coxeter --altsum", _affine_a(ABOVE_GENERATOR_CAP - 1)),
+        ("davis", {"size": ABOVE_GENERATOR_CAP, "m": [
+            [1 if i == j else "inf" for j in range(ABOVE_GENERATOR_CAP)] for i in range(ABOVE_GENERATOR_CAP)
+        ]}),
     ],
     ids=[
         "generator-out-of-range",
@@ -390,14 +402,29 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "rep-entry-bool",
         "rep-entry-list",
         "rep-entry-object",
+        "coxeter-bott-above-generator-cap",
+        "coxeter-altsum-above-generator-cap",
+        "davis-above-generator-cap",
     ],
 )
-def test_malformed_input_is_exit_two(tmp_path, capsys, command, payload):
+def test_malformed_input_is_exit_two(tmp_path, capsys, monkeypatch, request, command, payload):
+    classify = CoxeterSystem.degrees
+
+    def whole_set_only(self, subset):
+        subset = tuple(subset)
+        if len(subset) != self.n:
+            raise AssertionError(f"the subset scan classified {subset}")
+        return classify(self, subset)
+
+    # every refusal comes before a subset scan classifies anything
+    monkeypatch.setattr(CoxeterSystem, "degrees", whole_set_only)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, *_argv(command, path))
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ")
+    if request.node.callspec.id.endswith("generator-cap"):
+        assert "GENERATOR_CAP" in err
 
 
 def _argv(command, path):
@@ -406,6 +433,10 @@ def _argv(command, path):
         return command, path, "--poincare"
     if command == "coxeter --exponents":
         return "coxeter", path, "--poincare", "--exponents"
+    if command == "coxeter --bott":
+        return "coxeter", path, "--bott", "1"
+    if command == "coxeter --altsum":
+        return "coxeter", path, "--altsum", "2"
     if command == "gog --cohomology":  # path holds the representation
         return "gog", SAMPLES / "c4_hnn.json", "--cohomology", path
     return command, path

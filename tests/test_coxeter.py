@@ -22,10 +22,12 @@ from tdlcinv.coxeter import (
     poincare_poly,
     AFFINE_CARTAN,
     FINITE_CARTAN,
+    GENERATOR_CAP,
 )
 from tdlcinv.errors import ValidationError
 
 from oracles import (
+    brute_force_spherical_subsets,
     mat_mul,
     reflection_layers,
     reflection_matrices,
@@ -131,6 +133,42 @@ def test_spherical_monotone_under_subsets():
             for k in range(len(subset)):
                 for smaller in [subset[:k] + subset[k + 1:]]:
                     assert c.is_spherical(smaller)
+
+
+def test_spherical_subsets_match_brute_force_on_random_coxeter_matrices():
+    rng = random.Random(8)
+    for _ in range(320):
+        n = rng.randint(1, 7)
+        m = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.choice([2, 3, 4, 5, 6, INFINITY])
+        system = CoxeterSystem(m)
+        assert list(system.spherical_subsets()) == brute_force_spherical_subsets(system), m
+
+
+def path_of_threes(n):
+    """Generators in a path of 3-labels, every other pair labelled infinity:
+    its spherical subsets are the empty set, the n singletons and the n - 1
+    adjacent pairs."""
+    return CoxeterSystem(
+        [[1 if i == j else 3 if abs(i - j) == 1 else INFINITY for j in range(n)] for i in range(n)]
+    )
+
+
+def test_spherical_scan_classifies_only_extensions_of_spherical_subsets(monkeypatch):
+    calls = []
+    classify = CoxeterSystem.degrees
+
+    def counted(self, subset):
+        calls.append(subset)
+        return classify(self, subset)
+
+    monkeypatch.setattr(CoxeterSystem, "degrees", counted)
+    found = list(path_of_threes(GENERATOR_CAP).spherical_subsets())
+    assert len(found) == 1 + GENERATOR_CAP + (GENERATOR_CAP - 1)
+    assert len(calls) <= GENERATOR_CAP * len(found)
+    assert len(set(calls)) == len(calls)  # each subset classified once
 
 
 def test_cartan_validation():
@@ -340,6 +378,14 @@ def test_alternating_sum_identity_family(name, q):
 
 def test_alternating_sum_identity_fractional_q():
     assert alternating_sum_identity(affine_preset("affine A1"), Fraction(3, 2))
+
+
+@pytest.mark.parametrize(
+    "name, finite",
+    [("affine A1", "A1"), ("affine A2", "A2"), ("affine A3", "A3"), ("affine C2", "C2"), ("affine G2", "G2")],
+)
+def test_affine_preset_finite_part_is_the_preset_without_node_zero(name, finite):
+    assert affine_preset(name).finite.a == FINITE_CARTAN[finite].a
 
 
 def test_affine_pair_validation():

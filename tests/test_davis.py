@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tdlcinv.coxeter import INFINITY, CoxeterSystem
+from tdlcinv.errors import ValidationError
 from tdlcinv.davis import (
     PosetTooLarge,
     WFinite,
@@ -174,9 +175,14 @@ def test_kac_moody_verdict_transfers():
         kac_moody_verdict(CoxeterSystem([[1, 3], [3, 1]]))
 
 
-def test_poset_cap():
-    with pytest.raises(PosetTooLarge):
-        build_chamber(infinite_dihedral(), cap=1)
+def test_poset_cap(monkeypatch):
+    monkeypatch.setattr("tdlcinv.davis.SPHERICAL_SUBSET_CAP", 2)
+    with pytest.raises(PosetTooLarge, match="SPHERICAL_SUBSET_CAP"):
+        build_chamber(infinite_dihedral())  # three spherical subsets
+    monkeypatch.undo()
+    monkeypatch.setattr("tdlcinv.coxeter.GENERATOR_CAP", 1)
+    with pytest.raises(ValidationError, match="GENERATOR_CAP"):
+        build_chamber(infinite_dihedral())
 
 
 def test_verdict_json_shape():
