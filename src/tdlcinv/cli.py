@@ -6,6 +6,9 @@ is a human table by default or canonical JSON with ``--format json``
 (sorted keys, two-space indent, trailing newline), byte-identical across
 runs for identical inputs.
 
+Each handler imports the library modules it uses when it runs, so a
+subcommand loads only those.
+
 Exit codes: 0 success, 2 invalid input (the diagnostic names the violated
 invariant), 1 internal failure.
 """
@@ -17,14 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import coxeter as cox
-from . import davis
-from . import euler
-from . import graphs_of_groups as gog_mod
-from . import serre_graphs
-from . import simplicial
 from .errors import ValidationError
-from .groups import group_from_spec
 
 
 def _read_json(path):
@@ -46,6 +42,8 @@ def _emit(args, payload, lines):
 
 
 def _coxeter_from_file(path):
+    from . import coxeter as cox
+
     data = _read_json(path)
     if isinstance(data, dict):
         if "m" in data:
@@ -59,6 +57,8 @@ def _coxeter_from_file(path):
 
 
 def cmd_homology(args):
+    from . import simplicial
+
     complex_, _ = simplicial.load_complex(_read_json(args.input))
     complex_.validate()
     dims = complex_.homology()
@@ -68,6 +68,8 @@ def cmd_homology(args):
 
 
 def cmd_cohomology_c(args):
+    from . import simplicial
+
     complex_, _ = simplicial.load_complex(_read_json(args.input))
     complex_.validate()
     dims = complex_.cohomology_compact()
@@ -76,6 +78,8 @@ def cmd_cohomology_c(args):
 
 
 def cmd_relative(args):
+    from . import simplicial
+
     data = _read_json(args.input)
     if not isinstance(data, dict) or "complex" not in data or "subcomplex" not in data:
         raise ValidationError("relative input needs 'complex' and 'subcomplex'")
@@ -99,6 +103,8 @@ def cmd_relative(args):
 
 
 def cmd_graph(args):
+    from . import serre_graphs
+
     graph = serre_graphs.load_graph(_read_json(args.input))
     h1, components, is_tree = graph.graph_invariants()
     payload = {"h1": h1, "components": components, "tree": is_tree}
@@ -122,9 +128,12 @@ def _element_ids(data, key, group):
 
 
 def cmd_rough_cayley(args):
+    from . import serre_graphs
+    from .groups import group_from_spec
+
     data = _read_json(args.input)
-    if "group" not in data:
-        raise ValidationError("rough-cayley input needs a 'group'")
+    if not isinstance(data, dict) or "group" not in data:
+        raise ValidationError("rough-cayley input must be an object with a 'group'")
     group = group_from_spec(data["group"])
     oracle = serre_graphs.FiniteGroupOracle(group, _element_ids(data, "subgroup_gens", group))
     generators = _element_ids(data, "generators", group)
@@ -151,6 +160,8 @@ def cmd_rough_cayley(args):
 
 
 def cmd_gog(args):
+    from . import graphs_of_groups as gog_mod
+
     gog = gog_mod.load_gog(_read_json(args.input))
     payload = {}
     lines = []
@@ -214,6 +225,8 @@ def _parse_rational_matrix(rows, dim, owner):
 
 
 def _load_representation(data, gog):
+    from . import graphs_of_groups as gog_mod
+
     if not isinstance(data, dict) or "dim" not in data or "vertex_actions" not in data:
         raise ValidationError("representation JSON needs 'dim' and 'vertex_actions'")
     dim = data["dim"]
@@ -242,6 +255,8 @@ def _load_representation(data, gog):
 
 
 def cmd_coxeter(args):
+    from . import coxeter as cox
+
     if args.preset:
         if args.preset in cox.AFFINE_CARTAN:
             pair = cox.affine_preset(args.preset)
@@ -287,6 +302,8 @@ def cmd_coxeter(args):
 
 
 def cmd_davis(args):
+    from . import davis
+
     system = _coxeter_from_file(args.input)
     verdict = davis.duality_verdict(system, include_empty=not args.exclude_empty_t)
     payload = verdict.to_json()
@@ -303,6 +320,9 @@ def cmd_davis(args):
 
 
 def cmd_chevalley(args):
+    from . import coxeter as cox
+    from . import euler
+
     finite = cox.finite_preset(args.type)
     value = euler.chevalley_chi(finite, args.q)
     payload = {
@@ -400,6 +420,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "coxeter" and not args.preset and not args.input:
         parser.error("coxeter needs an input file or --preset")
+    if args.command == "coxeter" and args.preset and args.input:
+        parser.error("coxeter takes an input file or --preset, not both")
     try:
         return args.handler(args)
     except ValidationError as exc:

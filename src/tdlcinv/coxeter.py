@@ -49,9 +49,9 @@ class NotCrystallographic(ValidationError):
 
 def _check_coxeter_matrix(m):
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValidationError("Coxeter matrix is not square")
     for i in range(n):
-        if len(m[i]) != n:
-            raise ValidationError("Coxeter matrix is not square")
         if type(m[i][i]) is not int or m[i][i] != 1:
             raise ValidationError("Coxeter matrix diagonal must be 1")
         for j in range(n):
@@ -231,9 +231,9 @@ class CartanMatrix:
                     raise ValidationError(f"Cartan entry {v!r} is not an integer")
         self.a = tuple(tuple(row) for row in a)
         self.n = len(self.a)
+        if any(len(row) != self.n for row in self.a):
+            raise ValidationError("Cartan matrix is not square")
         for i in range(self.n):
-            if len(self.a[i]) != self.n:
-                raise ValidationError("Cartan matrix is not square")
             if self.a[i][i] != 2:
                 raise ValidationError("Cartan diagonal must be 2")
             for j in range(self.n):

@@ -174,6 +174,22 @@ def test_coxeter_preset_all_flags(capsys):
 
 
 @pytest.mark.parametrize(
+    "inputs, reason",
+    [((), "needs an input file or --preset"), (("FILE", "--preset", "A2"), "not both")],
+    ids=["neither", "both"],
+)
+def test_coxeter_needs_exactly_one_of_file_and_preset(tmp_path, capsys, inputs, reason):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]]}))
+    argv = ["coxeter", *(str(path) if a == "FILE" else a for a in inputs), "--poincare"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize(
     "degree, reason",
     [(str(BOTT_DEGREE_CAP + 1), "BOTT_DEGREE_CAP"), ("-1", "non-negative")],
 )
@@ -346,6 +362,14 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         ("davis", {"size": ABOVE_GENERATOR_CAP, "m": [
             [1 if i == j else "inf" for j in range(ABOVE_GENERATOR_CAP)] for i in range(ABOVE_GENERATOR_CAP)
         ]}),
+        ("davis", {"m": [[1, 3, 3], [], [3, 3, 1]]}),
+        ("davis", {"m": [[1, 3, 3], [3, 1, 3], []]}),
+        ("coxeter --exponents", {"cartan": [[2, -1, 0], [], [0, -1, 2]]}),
+        ("rough-cayley", 5),
+        ("rough-cayley", 5.5),
+        ("rough-cayley", True),
+        ("rough-cayley", None),
+        ("rough-cayley", "group"),
     ],
     ids=[
         "generator-out-of-range",
@@ -405,6 +429,14 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "coxeter-bott-above-generator-cap",
         "coxeter-altsum-above-generator-cap",
         "davis-above-generator-cap",
+        "davis-empty-middle-row",
+        "davis-empty-last-row",
+        "cartan-empty-middle-row",
+        "rough-cayley-int",
+        "rough-cayley-float",
+        "rough-cayley-bool",
+        "rough-cayley-null",
+        "rough-cayley-string",
     ],
 )
 def test_malformed_input_is_exit_two(tmp_path, capsys, monkeypatch, request, command, payload):
@@ -465,15 +497,15 @@ def test_json_output_is_deterministic_and_round_trips(capsys, argv):
     assert json.dumps(json.loads(first), indent=2, sort_keys=True) + "\n" == first
 
 
-def _leaf_paths(value, path=()):
+def _nodes(value, path=()):
+    """``(path, node)`` for every node of a JSON document, the root ``()`` first."""
+    yield path, value
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from _leaf_paths(item, path + (key,))
+            yield from _nodes(item, path + (key,))
     elif isinstance(value, list):
         for index, item in enumerate(value):
-            yield from _leaf_paths(item, path + (index,))
-    else:
-        yield path
+            yield from _nodes(item, path + (index,))
 
 
 def _replaced(value, path, leaf):
@@ -505,15 +537,21 @@ S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 5, 1, 3, 0],
     ids=["graph", "rough-cayley", "gog", "gog-cohomology", "davis", "coxeter", "homology", "cohomology-c", "relative"],
 )
 def test_fuzzed_leaf_is_exit_zero_or_two(tmp_path, capsys, command, payload):
-    """Replacing any one JSON leaf by a value of another type or range gives
-    a result or an invalid-input diagnostic, never an internal error."""
+    """Replacing any one JSON node by a value of another type or range gives
+    a result or an invalid-input diagnostic, never an internal error: 150
+    random draws on the leaves, and every interior node (the root included)
+    replaced by every fuzz value."""
     rng = random.Random(17)
-    paths = list(_leaf_paths(payload))
+    nodes = list(_nodes(payload))
+    leaves = [path for path, node in nodes if not isinstance(node, (dict, list))]
+    interior = [path for path, node in nodes if isinstance(node, (dict, list))]
+    mutations = [(rng.choice(leaves), rng.choice(FUZZ_LEAVES)) for _ in range(150)]
+    mutations += [(path, value) for path in interior for value in FUZZ_LEAVES]
     path_file = tmp_path / "input.json"
     path_file.write_text(json.dumps(payload))
     assert run(capsys, *_argv(command, path_file))[0] == 0
-    for _ in range(150):
-        mutated = _replaced(payload, rng.choice(paths), rng.choice(FUZZ_LEAVES))
+    for path, value in mutations:
+        mutated = _replaced(payload, path, value)
         path_file.write_text(json.dumps(mutated))
         code, _, err = run(capsys, *_argv(command, path_file))
         assert code in (0, 2), (mutated, err)
