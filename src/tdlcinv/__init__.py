@@ -24,13 +24,14 @@ _EXPORTS = {
     "davis": ("DualityVerdict", "build_chamber", "duality_verdict", "kac_moody_verdict"),
     "errors": ("ValidationError",),
     "euler": (
-        "HaarValue", "ResolutionDescription", "chevalley_chi", "chi_from_resolution",
-        "chi_via_parahoric_sum", "hs_rank_permutation",
+        "ResolutionDescription", "chevalley_chi", "chi_from_resolution", "chi_via_parahoric_sum",
+        "hs_rank_permutation",
     ),
     "graphs_of_groups": (
         "GraphOfFiniteGroups", "PiRepresentation", "PiWord", "aut_tree_chi", "build_gog", "load_gog",
     ),
     "groups": ("FiniteGroup", "Hom", "group_from_spec"),
+    "haar": ("HaarValue",),
     "ratlin": ("Rational", "RationalMatrix", "homology_dims"),
     "serre_graphs": (
         "FiniteGroupOracle", "IntegerLineOracle", "SerreGraph", "connectivity_equals_generation",

@@ -29,8 +29,14 @@ def _read_json(path):
             return json.load(handle)
     except FileNotFoundError:
         raise ValidationError(f"input file {path!r} does not exist")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ValidationError(f"input file {path!r} cannot be read: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except ValueError as exc:  # bad JSON, or an integer over the interpreter's digit limit
         raise ValidationError(f"input file {path!r} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError(f"input file {path!r} nests its JSON too deeply to read")
 
 
 def _emit(args, payload, lines):

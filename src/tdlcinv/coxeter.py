@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import ValidationError
+from .records import Record
 
 INFINITY = math.inf
 
@@ -410,16 +410,14 @@ def bott_check(finite_cartan, affine_cartan, truncation):
     return series == enumerate_by_length(affine_cartan, truncation)
 
 
-@dataclass(frozen=True)
-class AffineCartanPair:
+class AffineCartanPair(Record):
     """An affine Cartan matrix together with its finite part.
 
     The pairing is supplied by the caller or a preset; nothing here tries
     to locate the extending node on its own.
     """
 
-    finite: CartanMatrix
-    affine: CartanMatrix
+    __slots__ = ("finite", "affine")
 
     def __post_init__(self):
         if self.affine.n != self.finite.n + 1:

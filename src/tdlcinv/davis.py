@@ -25,11 +25,10 @@ trivially a duality group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
-from .coxeter import CoxeterSystem
 from .errors import ValidationError
+from .records import Record
 from .simplicial import SimplicialComplex, relative_cohomology, union_complexes
 
 
@@ -45,12 +44,11 @@ class PosetTooLarge(ValidationError):
 SPHERICAL_SUBSET_CAP = 4096
 
 
-@dataclass(frozen=True)
-class SphericalPoset:
+class SphericalPoset(Record):
     """All spherical generator subsets, the empty set included, by size and
     then lexicographically."""
 
-    subsets: tuple
+    __slots__ = ("subsets",)
 
     @classmethod
     def from_system(cls, system):
@@ -64,13 +62,9 @@ class SphericalPoset:
         return len(self.subsets)
 
 
-@dataclass(frozen=True)
-class DavisChamber:
-    system: CoxeterSystem
-    poset: SphericalPoset
-    complex: SimplicialComplex
-    vertex_of_subset: dict
-    mirrors: dict  # generator -> full subcomplex on subsets containing it
+class DavisChamber(Record):
+    # mirrors: generator -> full subcomplex on the subsets containing it
+    __slots__ = ("system", "poset", "complex", "vertex_of_subset", "mirrors")
 
 
 def build_chamber(system, allow_finite=False):
@@ -114,17 +108,14 @@ def build_chamber(system, allow_finite=False):
     return DavisChamber(system, poset, chamber, vertex_of_subset, mirrors)
 
 
-@dataclass(frozen=True)
-class DualityVerdict:
+class DualityVerdict(Record):
     """Top nonvanishing degree and one-degree concentration over the scan.
 
     ``table`` maps each scanned subset T (as a sorted generator tuple) to
     the tuple of relative cohomology dimensions of (K, mirrors off T).
     """
 
-    cd: int
-    is_duality: bool
-    table: tuple  # ((T, dims), ...) sorted
+    __slots__ = ("cd", "is_duality", "table")  # table: ((T, dims), ...) sorted
 
     def entries(self):
         for subset, dims in self.table:

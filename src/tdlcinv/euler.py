@@ -1,11 +1,8 @@
 """Haar-measure-valued Euler characteristics.
 
-A ``HaarValue`` is a rational multiple of the Haar measure normalized at a
-compact open subgroup, identified only by a symbolic label.  Measures at
-different base labels are never compared directly: ``rebase`` converts,
-given the rational factor relating the two normalizations (for a base
-contained in a larger subgroup with index k, the smaller-base measure is k
-times the larger-base one).
+``HaarValue``, ``UnknownIndex`` and ``TRIVIAL_BASE`` live in ``haar``, which
+loads neither this module nor ``coxeter``; they are imported here, so
+``euler.HaarValue`` is the same class.
 
 ``chi_from_resolution`` evaluates the alternating sum of permutation-module
 ranks over a finite resolution description: each summand is the measure
@@ -17,71 +14,14 @@ both normalized at the chamber stabilizer label "Iw".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import AffineCartanPair, exponents, parahoric_sum, poincare_poly
 from .errors import ValidationError
+from .haar import TRIVIAL_BASE, HaarValue, UnknownIndex
+from .records import Record
 
-TRIVIAL_BASE = "1"
 IWAHORI_BASE = "Iw"
-
-
-class UnknownIndex(ValidationError):
-    pass
-
-
-@dataclass(frozen=True)
-class HaarValue:
-    """coeff times the Haar measure with mass one on the subgroup ``base``."""
-
-    coeff: Fraction
-    base: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-
-    def _require_same_base(self, other):
-        if self.base != other.base:
-            raise ValueError(f"cannot combine measures over {self.base!r} and {other.base!r}")
-
-    def __add__(self, other):
-        if not isinstance(other, HaarValue):
-            return NotImplemented
-        self._require_same_base(other)
-        return HaarValue(self.coeff + other.coeff, self.base)
-
-    def __sub__(self, other):
-        if not isinstance(other, HaarValue):
-            return NotImplemented
-        self._require_same_base(other)
-        return HaarValue(self.coeff - other.coeff, self.base)
-
-    def __neg__(self):
-        return HaarValue(-self.coeff, self.base)
-
-    def __mul__(self, scalar):
-        return HaarValue(self.coeff * Fraction(scalar), self.base)
-
-    __rmul__ = __mul__
-
-    def rebase(self, new_base, factor):
-        """Express the value over a different normalizing subgroup.
-
-        ``factor`` is the exact rational with (measure at the old base) ==
-        factor times (measure at the new base); when the old base sits
-        inside the new one with index k the factor is k.
-        """
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise UnknownIndex(f"rebase factor must be positive, got {factor}")
-        return HaarValue(self.coeff * factor, new_base)
-
-    def is_negative(self):
-        return self.coeff < 0
-
-    def __str__(self):
-        return f"{self.coeff}*mu[{self.base}]"
 
 
 def hs_rank_permutation(base):
@@ -90,8 +30,7 @@ def hs_rank_permutation(base):
     return HaarValue(1, base)
 
 
-@dataclass(frozen=True)
-class ResolutionDescription:
+class ResolutionDescription(Record):
     """Finite resolution datum: per degree, summands given by subgroup
     labels with their index over a common base subgroup.
 
@@ -101,8 +40,7 @@ class ResolutionDescription:
     (None) raises ``UnknownIndex`` on evaluation.
     """
 
-    base: str
-    degrees: tuple
+    __slots__ = ("base", "degrees")
 
     @classmethod
     def build(cls, base, degrees):

@@ -26,8 +26,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import ValidationError
-from .euler import TRIVIAL_BASE, HaarValue
 from .groups import Hom, group_from_spec
+from .haar import TRIVIAL_BASE, HaarValue
 from .ratlin import RationalMatrix
 from .serre_graphs import SerreGraph
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .ratlin import RationalMatrix
-from .simplicial import SignedSet
 
 
 class BadGraph(ValidationError):
@@ -76,6 +75,8 @@ class SerreGraph:
         return tuple(self.origin)
 
     def edge_signed_set(self):
+        from .simplicial import SignedSet  # imported here, so graph jobs never load simplicial
+
         return SignedSet(self.bar)
 
     def orientation(self):

@@ -23,11 +23,11 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
 from .ratlin import RationalMatrix, homology_dims
+from .records import Record
 
 
 class NotClosed(ValidationError):
@@ -47,16 +47,14 @@ class NotSubcomplex(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class OrientedSimplex:
+class OrientedSimplex(Record):
     """A simplex with orientation: increasing vertex tuple plus a sign.
 
     Swapping two vertices in the input flips the sign (wedge semantics);
     repeated vertices are degenerate and rejected.
     """
 
-    vertices: tuple
-    sign: int
+    __slots__ = ("vertices", "sign")
 
     @classmethod
     def from_vertices(cls, seq):

@@ -268,6 +268,29 @@ def test_missing_file_is_exit_two(capsys):
     assert "does not exist" in err
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "is not UTF-8 text"),
+        (lambda path: path.mkdir(), "cannot be read"),
+        (lambda path: path.write_text("[" * 100_000), "nests its JSON too deeply"),
+        (lambda path: path.write_text("[" + "1" * 5000 + "]"), "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not-utf8", "directory", "deep-nesting", "5000-digit-integer"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["homology"], ["davis"], ["gog", str(SAMPLES / "c4_hnn.json"), "--cohomology"]],
+    ids=["homology", "davis", "gog-cohomology"],
+)
+def test_unreadable_file_is_exit_two(tmp_path, capsys, make, message, argv):
+    path = tmp_path / "input.json"
+    make(path)
+    code, _, err = run(capsys, *argv, path)
+    assert code == 2
+    assert message in err and repr(str(path)) in err
+
+
 def test_invalid_input_is_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": ["a"], "maximal_simplices": [["a", "b"]]}')

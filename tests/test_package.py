@@ -17,6 +17,7 @@ import pytest
 import tdlcinv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SAMPLES = SRC.parent / "samples"
 
 
 def _python(*args):
@@ -44,6 +45,37 @@ def test_chevalley_loads_only_what_it_uses():
     assert {"tdlcinv.coxeter", "tdlcinv.euler"} <= loaded
     unused = ("davis", "simplicial", "ratlin", "groups", "serre_graphs", "graphs_of_groups")
     assert not loaded & {f"tdlcinv.{name}" for name in unused}
+
+
+# one run of every subcommand on a sample, and the modules it must not load
+SUBCOMMAND_RUNS = {
+    "homology": ["homology", "triangle.json"],
+    "cohomology-c": ["cohomology-c", "triangle.json"],
+    "relative": ["relative", "interval_pair.json"],
+    "graph": ["graph", "triangle_graph.json"],
+    "rough-cayley": ["rough-cayley", "s3_cayley.json"],
+    "gog": ["gog", "c4_hnn.json", "--unimodular", "--chi", "--ball", "2", "--cohomology", "c4_hnn_rep.json"],
+    "coxeter": ["coxeter", "--preset", "affine A2", "--bott", "4", "--altsum", "2"],
+    "davis": ["davis", "affine_a2_coxeter.json"],
+    "chevalley": ["chevalley", "--type", "A2", "--q", "2", "--via-parahorics"],
+}
+NEVER_LOADED = {"dataclasses", "inspect"}  # not typing: site may load it
+NOT_LOADED_BY = {
+    "graph": {"tdlcinv.simplicial"},
+    "rough-cayley": {"tdlcinv.simplicial"},
+    "gog": {"tdlcinv.coxeter", "tdlcinv.euler", "tdlcinv.simplicial"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_RUNS)
+def test_subcommand_import_footprint(command):
+    argv = [str(SAMPLES / arg) if arg.endswith(".json") else arg for arg in SUBCOMMAND_RUNS[command]]
+    code = f"import sys; from tdlcinv.cli import main; code = main({argv!r}); print(code, *sorted(sys.modules))"
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    exit_code, *loaded = result.stdout.splitlines()[-1].split()
+    assert exit_code == "0"
+    assert not set(loaded) & (NEVER_LOADED | NOT_LOADED_BY.get(command, set()))
 
 
 def test_running_the_cli_module_writes_nothing_to_stderr():
