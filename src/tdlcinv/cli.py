@@ -209,14 +209,28 @@ def cmd_gog(args):
     return 0
 
 
+# largest |exponent| of a decimal matrix entry such as "1e-5": Fraction
+# expands 10**exponent in full, so "1e1000000" alone takes a third of a
+# second; every float (exponents -324 to 308) stays under the cap
+RATIONAL_EXPONENT_CAP = 1000
+
+
 def _rational(value):
     """A matrix entry: an ``int`` (not a ``bool``) as it is, or a string or
-    float read by ``Fraction(str(value))``."""
+    float read by ``Fraction(str(value))`` once its decimal exponent, if
+    any, is checked against ``RATIONAL_EXPONENT_CAP``."""
     if type(value) is int:
         return value
     if isinstance(value, (str, float)):
+        text = str(value)
+        _, marker, exponent = text.lower().partition("e")
         try:
-            return Fraction(str(value))
+            if marker and abs(int(exponent)) > RATIONAL_EXPONENT_CAP:
+                raise ValidationError(
+                    f"matrix entry {value!r} has a decimal exponent above "
+                    f"RATIONAL_EXPONENT_CAP = {RATIONAL_EXPONENT_CAP}"
+                )
+            return Fraction(text)
         except ValueError:
             pass
     raise ValidationError(f"matrix entry {value!r} is not a rational number")

@@ -15,6 +15,13 @@ the pivot rows in ``Fraction`` arithmetic.  Within a column the sparsest
 candidate row is the pivot (a cheap Markowitz-style rule to limit fill-in).
 Correctness does not depend on the pivot choice, only the amount of
 intermediate fill does.
+
+The boundary maps of a chain complex are ranked together by
+``chain_ranks``, top degree first, with clearing: the columns of ``d_q``
+indexed by the pivot rows of ``d_{q+1}`` span nothing the other columns do
+not, so they are never eliminated (or, through ``SimplicialComplex``,
+never built).  ``homology_dims`` and ``simplicial.relative_cohomology``
+take their ranks from it.
 """
 
 from __future__ import annotations
@@ -147,12 +154,15 @@ class RationalMatrix:
     def _pivots(self):
         """Fraction-free forward elimination over ``int``.
 
-        Yields ``(col, pv, row)`` for each pivot column ``col``, in
+        Yields ``(col, pv, row, rid)`` for each pivot column ``col``, in
         ascending order, once every other row has lost its entry there:
         the pivot row reads ``pv * x[col] + sum(row[c] * x[c]) = 0`` with
-        every ``c`` in ``row`` right of ``col``.  The pivot columns do not
-        depend on the pivot rule; they are the columns outside the span of
-        the columns left of them.
+        every ``c`` in ``row`` right of ``col``, and ``rid`` is its index in
+        ``self``.  The pivot columns do not depend on the pivot rule; they
+        are the columns outside the span of the columns left of them.  The
+        rows ``rid`` are linearly independent in ``self``: each reduced row
+        is a nonzero multiple of its own input row plus a combination of
+        the input rows of earlier pivots.
 
         Each row is scaled by the lcm of its denominators.  Columns are
         visited left to right; ``by_col`` maps a column to the rows with an
@@ -210,7 +220,7 @@ class RationalMatrix:
                     if content != 1:
                         for c in row:
                             row[c] //= content
-            yield col, pv, pivot_row
+            yield col, pv, pivot_row, pid
 
     def rank(self):
         """Rank over Q: the number of pivots of ``_pivots``.
@@ -228,7 +238,7 @@ class RationalMatrix:
         set to 1 and the other free coordinates to 0.
         """
         pivots = list(self._pivots())
-        pivot_cols = {col for col, _, _ in pivots}
+        pivot_cols = {col for col, *_ in pivots}
         basis = []
         for free in range(self.cols):
             if free not in pivot_cols:
@@ -262,9 +272,50 @@ class RationalMatrix:
 def _back_substitute(pivots, vec):
     """Fill the pivot coordinates of ``vec`` from its free ones, last pivot
     first, so that every pivot row of ``_pivots`` holds; returns ``vec``."""
-    for col, pv, row in reversed(pivots):
+    for col, pv, row, _ in reversed(pivots):
         vec[col] = -sum((v * vec[c] for c, v in row.items() if vec[c]), Fraction(0)) / pv
     return vec
+
+
+def chain_ranks(boundary, top):
+    """Ranks of the boundary maps of a chain complex, top degree first,
+    with clearing (Chen–Kerber, *Persistent homology computation with a
+    twist*, EuroCG 2011).
+
+    ``boundary(q, cleared)`` must return the matrix of the degree-q
+    boundary map, ``1 <= q <= top``, with the columns whose indices are in
+    ``cleared`` left out; its rows are numbered as the columns of the
+    degree-(q-1) map before any is left out.  The maps must compose to
+    zero.
+
+    The pivot rows of ``d_{q+1}`` are linearly independent and span its
+    row space, so some vector of its image, a cycle, has coordinate 1 at
+    any one of them and 0 at the others.  The columns of ``d_q`` they index
+    therefore lie in the span of its other columns, and ``d_q`` is ranked
+    without them.  The bottom map needs no clearing set and is ranked by
+    ``RationalMatrix.rank``.
+
+    Returns ``ranks`` with ``ranks[q] = rank d_q`` for ``1 <= q <= top``
+    and zero for the maps in degree 0 and above ``top``.
+    """
+    ranks = [0] * (top + 2)
+    cleared = frozenset()
+    for q in range(top, 1, -1):
+        cleared = frozenset(rid for *_, rid in boundary(q, cleared)._pivots())
+        ranks[q] = len(cleared)
+    if top >= 1:
+        ranks[1] = boundary(1, cleared).rank()
+    return ranks
+
+
+def _without_columns(matrix, cleared):
+    """``matrix`` with the columns in ``cleared`` left out, order kept."""
+    if not cleared:
+        return matrix
+    kept = [j for j in range(matrix.cols) if j not in cleared]
+    new_index = {j: k for k, j in enumerate(kept)}
+    entries = {(i, new_index[j]): v for (i, j), v in matrix._entries.items() if j in new_index}
+    return RationalMatrix(matrix.rows, len(kept), entries)
 
 
 def homology_dims(boundaries):
@@ -277,7 +328,8 @@ def homology_dims(boundaries):
     compose to zero; otherwise ``CompositionNonZero`` is raised.
 
     Returns ``[dim H_q]`` with
-    ``dim H_q = (cols(d_q) - rank(d_q)) - rank(d_{q+1})``.
+    ``dim H_q = (cols(d_q) - rank(d_q)) - rank(d_{q+1})``, the ranks from
+    ``chain_ranks``.
     """
     boundaries = list(boundaries)
     if not boundaries:
@@ -290,9 +342,6 @@ def homology_dims(boundaries):
             raise ValueError(f"boundary shapes disagree between degrees {q} and {q + 1}")
         if not (low @ high).is_zero():
             raise CompositionNonZero(f"d_{q} o d_{q + 1} != 0")
-    dims = []
-    ranks = [m.rank() for m in boundaries]
-    for q, matrix in enumerate(boundaries):
-        rank_above = ranks[q + 1] if q + 1 < len(boundaries) else 0
-        dims.append(matrix.cols - ranks[q] - rank_above)
-    return dims
+    top = len(boundaries) - 1
+    ranks = chain_ranks(lambda q, cleared: _without_columns(boundaries[q], cleared), top)
+    return [matrix.cols - ranks[q] - ranks[q + 1] for q, matrix in enumerate(boundaries)]

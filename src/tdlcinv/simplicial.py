@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import ValidationError
-from .ratlin import RationalMatrix, homology_dims
+from .ratlin import RationalMatrix, chain_ranks, homology_dims
 from .records import Record
 
 
@@ -214,14 +214,16 @@ class SimplicialComplex:
         """Matrix of the boundary map from degree q to degree q-1 chains."""
         if not 1 <= q <= self.dim:
             raise DegreeOutOfRange(f"boundary degree {q} outside 1..{self.dim}")
-        return self._boundary(q, frozenset())
+        return self._boundary(q, frozenset(), frozenset())
 
-    def _boundary(self, q, away):
+    def _boundary(self, q, away, cleared):
         """Boundary from degree q to q-1 on the simplices outside ``away``.
 
         With ``away`` the simplex set of a subcomplex this is the relative
         boundary of the pair: faces in ``away`` are dropped.  A face in
-        neither the complex nor ``away`` raises ``NotClosed``.
+        neither the complex nor ``away`` raises ``NotClosed``.  Columns are
+        numbered over the q-simplices outside ``away``, and those whose
+        numbers are in ``cleared`` are left out (``ratlin.chain_ranks``).
         """
         rows, kept = {}, 0
         for s in self.simplices(q - 1):
@@ -231,6 +233,8 @@ class SimplicialComplex:
                 rows[s] = kept
                 kept += 1
         cols = [s for s in self.simplices(q) if s not in away]
+        if cleared:
+            cols = [s for j, s in enumerate(cols) if j not in cleared]
         entries = {}
         for j, s in enumerate(cols):
             for drop in range(len(s)):
@@ -303,10 +307,7 @@ def relative_cohomology(complex_, subcomplex):
     if top < 0:
         return []
     away = subcomplex.all_simplices()
-    # rank of the relative boundary map in each positive degree
-    ranks = [0] * (top + 2)
-    for q in range(1, top + 1):
-        ranks[q] = complex_._boundary(q, away).rank()
+    ranks = chain_ranks(lambda q, cleared: complex_._boundary(q, away, cleared), top)
     kept = [len(complex_.simplices(q)) - len(subcomplex.simplices(q)) for q in range(top + 1)]
     return [kept[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)]
 

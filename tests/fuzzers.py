@@ -1,5 +1,8 @@
 """Shared random-instance generators for the property and acceptance suites."""
 
+from itertools import combinations
+
+from tdlcinv.coxeter import INFINITY, CoxeterSystem
 from tdlcinv.groups import FiniteGroup, Hom
 from tdlcinv.graphs_of_groups import build_gog
 from tdlcinv.simplicial import SimplicialComplex
@@ -59,6 +62,15 @@ def random_complex(rng, max_vertices=8):
         size = rng.randint(1, min(4, n))
         maximal.append(tuple(rng.sample(range(n), size)))
     return SimplicialComplex.from_maximal(maximal)
+
+
+def random_coxeter_system(rng, n):
+    """Coxeter system on n generators, each label 2, 3 or infinity with
+    weights 0.45, 0.4 and 0.15, as in the benchmark's seeded chambers."""
+    m = [[1] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        m[i][j] = m[j][i] = rng.choices([2, 3, INFINITY], [0.45, 0.4, 0.15])[0]
+    return CoxeterSystem(m)
 
 
 def random_finite_group(rng):

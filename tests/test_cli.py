@@ -380,6 +380,7 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         ("gog --cohomology", _c4_entry(True)),
         ("gog --cohomology", _c4_entry([])),
         ("gog --cohomology", _c4_entry({})),
+        ("gog --cohomology", _c4_entry("1e100000000")),
         ("coxeter --bott", _affine_a(ABOVE_GENERATOR_CAP - 1)),
         ("coxeter --altsum", _affine_a(ABOVE_GENERATOR_CAP - 1)),
         ("davis", {"size": ABOVE_GENERATOR_CAP, "m": [
@@ -449,6 +450,7 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "rep-entry-bool",
         "rep-entry-list",
         "rep-entry-object",
+        "rep-entry-exponent-above-cap",
         "coxeter-bott-above-generator-cap",
         "coxeter-altsum-above-generator-cap",
         "davis-above-generator-cap",
@@ -480,6 +482,8 @@ def test_malformed_input_is_exit_two(tmp_path, capsys, monkeypatch, request, com
     assert err.startswith("invalid input: ")
     if request.node.callspec.id.endswith("generator-cap"):
         assert "GENERATOR_CAP" in err
+    if request.node.callspec.id.endswith("exponent-above-cap"):
+        assert "RATIONAL_EXPONENT_CAP" in err
 
 
 def _argv(command, path):
@@ -553,11 +557,14 @@ S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 5, 1, 3, 0],
         ("gog --cohomology", json.loads((SAMPLES / "c4_hnn_rep.json").read_text())),
         ("davis", json.loads((SAMPLES / "affine_a2_coxeter.json").read_text())),
         ("coxeter --exponents", {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}),
+        ("coxeter --bott", _affine_a(2)),
+        ("coxeter --altsum", _affine_a(2)),
         ("homology", json.loads((SAMPLES / "triangle.json").read_text())),
         ("cohomology-c", json.loads((SAMPLES / "triangle.json").read_text())),
         ("relative", json.loads((SAMPLES / "interval_pair.json").read_text())),
     ],
-    ids=["graph", "rough-cayley", "gog", "gog-cohomology", "davis", "coxeter", "homology", "cohomology-c", "relative"],
+    ids=["graph", "rough-cayley", "gog", "gog-cohomology", "davis", "coxeter", "coxeter-bott", "coxeter-altsum",
+         "homology", "cohomology-c", "relative"],
 )
 def test_fuzzed_leaf_is_exit_zero_or_two(tmp_path, capsys, command, payload):
     """Replacing any one JSON node by a value of another type or range gives

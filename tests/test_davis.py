@@ -1,8 +1,12 @@
+import json
 import random
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from tdlcinv.coxeter import INFINITY, CoxeterSystem
+from tdlcinv.coxeter import INFINITY, CoxeterSystem, load_coxeter
 from tdlcinv.errors import ValidationError
 from tdlcinv.davis import (
     PosetTooLarge,
@@ -12,6 +16,9 @@ from tdlcinv.davis import (
     kac_moody_verdict,
     relative_table,
 )
+
+from fuzzers import random_coxeter_system
+from oracles import brute_force_spherical_subsets
 
 
 def infinite_dihedral():
@@ -190,3 +197,59 @@ def test_verdict_json_shape():
     assert data["cd"] == 2
     assert data["duality"] is False
     assert all(set(row) == {"T", "dims"} for row in data["table"])
+
+
+def right_angled(n, infinite_pairs):
+    """Right-angled system: label infinity on the given pairs, 2 elsewhere."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j in infinite_pairs:
+        m[i][j] = m[j][i] = INFINITY
+    return CoxeterSystem(m)
+
+
+def polygon_nerve(m):
+    """Right-angled system whose nerve is the m-cycle."""
+    return right_angled(m, [(i, j) for i, j in combinations(range(m), 2) if (j - i) % m not in (1, m - 1)])
+
+
+def affine_a(n):
+    size = n + 1
+    return CoxeterSystem(
+        [[1 if i == j else 3 if (i - j) % size in (1, size - 1) else 2 for j in range(size)] for i in range(size)]
+    )
+
+
+@pytest.mark.parametrize(
+    "system, cd, duality",
+    [(polygon_nerve(m), 2, True) for m in range(4, 9)]
+    + [(right_angled(6, [(0, 1), (2, 3), (4, 5)]), 3, True)]
+    + [(right_angled(2 + k, [(0, 1)]), 1, True) for k in range(1, 4)]
+    + [(right_angled(5, [(0, 2), (1, 3)] + [(v, 4) for v in range(4)]), 2, False)],
+    ids=[f"right-angled-{m}-gon" for m in range(4, 9)]
+    + ["octahedral-nerve"]
+    + [f"dinf-times-c2^{k}" for k in range(1, 4)]
+    + ["square-plus-isolated-vertex"],
+)
+def test_known_answer_verdicts(system, cd, duality):
+    # a right-angled W whose nerve is a flag triangulation of a sphere is a
+    # virtual Poincare duality group of the sphere's dimension plus one
+    verdict = duality_verdict(system)
+    assert (verdict.cd, verdict.is_duality) == (cd, duality)
+
+
+def test_rows_alternate_to_minus_the_reduced_euler_characteristic_of_the_nerve():
+    # H^*(K, K^{S-T}) is the reduced cohomology of L_{S-T} shifted up one
+    # degree, so each row's alternating sum is -chi~(L_{S-T}), read off the
+    # f-vector of the nerve with no rank computed
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    systems = [load_coxeter(json.loads((samples / name).read_text())) for name in ("notdu.json", "affine_a2_coxeter.json")]
+    systems += [affine_a(n) for n in (2, 3, 4)]
+    rng = random.Random(43)
+    systems += [random_coxeter_system(rng, 6) for _ in range(6)]
+    for system in systems:
+        spherical = [set(subset) for subset, _ in brute_force_spherical_subsets(system)]
+        for subset, dims in duality_verdict(system).table:
+            rest = set(system.generators) - set(subset)
+            f_vector = Counter(len(u) - 1 for u in spherical if u and u <= rest)
+            minus_reduced_chi = 1 - sum((-1) ** k * f for k, f in f_vector.items())
+            assert sum((-1) ** k * d for k, d in enumerate(dims)) == minus_reduced_chi

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from tdlcinv.ratlin import CompositionNonZero, RationalMatrix, homology_dims
+from tdlcinv.davis import build_chamber
+from tdlcinv.ratlin import CompositionNonZero, RationalMatrix, chain_ranks, homology_dims
+from tdlcinv.simplicial import SimplicialComplex, relative_cohomology, union_complexes
 
+from fuzzers import random_complex, random_coxeter_system
 from oracles import (
     dense_homology,
     dense_kernel_basis,
@@ -249,3 +253,49 @@ def test_matrices_are_value_objects():
     assert hash(a) == hash(RationalMatrix.identity(2))
     a.rank()
     assert a == RationalMatrix.identity(2)  # operations do not mutate
+
+
+def _assert_chain_ranks_exact(complex_, subcomplex):
+    """Ranks with clearing equal plain ``rank()`` in every degree, and the
+    dimensions they give equal the dense oracle's relative homology."""
+    away = subcomplex.all_simplices()
+    top = complex_.dim
+    plain = [complex_._boundary(q, away, frozenset()) for q in range(1, top + 1)]
+    ranks = chain_ranks(lambda q, cleared: complex_._boundary(q, away, cleared), top)
+    assert ranks == [0] + [m.rank() for m in plain] + [0]
+    kept = [sum(s not in away for s in complex_.simplices(q)) for q in range(top + 1)]
+    dense = [(0, kept[0])] + [m.to_dense() if m.rows else (0, m.cols) for m in plain]
+    expected = dense_homology(dense)
+    assert [kept[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)] == expected
+    assert relative_cohomology(complex_, subcomplex) == expected
+    if not away:
+        assert complex_.homology() == expected
+
+
+def _clique_complex(rng):
+    n = rng.randint(4, 9)
+    p = rng.uniform(0.4, 0.85)
+    edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+    cliques = [c for k in range(1, 6) for c in combinations(range(n), k) if set(combinations(c, 2)) <= edges]
+    return SimplicialComplex(cliques, generate_closure=False)
+
+
+def test_chain_ranks_with_clearing_match_plain_rank_and_dense_oracle():
+    rng = random.Random(29)
+    empty = SimplicialComplex.empty()
+    for _ in range(40):
+        _assert_chain_ranks_exact(_clique_complex(rng), empty)
+    for _ in range(60):
+        complex_ = random_complex(rng)
+        simplices = sorted(complex_.all_simplices())
+        sub = SimplicialComplex(rng.sample(simplices, rng.randint(0, len(simplices))))
+        _assert_chain_ranks_exact(complex_, sub)
+    checked = 0
+    while checked < 12:
+        chamber = build_chamber(random_coxeter_system(rng, rng.randint(3, 6)), allow_finite=True)
+        if len(chamber.complex.all_simplices()) > 100:
+            continue
+        checked += 1
+        for subset in chamber.poset.subsets:
+            mirrors = [chamber.mirrors[s] for s in chamber.system.generators if s not in subset]
+            _assert_chain_ranks_exact(chamber.complex, union_complexes(mirrors) if mirrors else empty)
