@@ -231,7 +231,7 @@ def _rational(value):
                     f"RATIONAL_EXPONENT_CAP = {RATIONAL_EXPONENT_CAP}"
                 )
             return Fraction(text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"matrix entry {value!r} is not a rational number")
 

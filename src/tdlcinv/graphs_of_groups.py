@@ -315,12 +315,17 @@ class GraphOfFiniteGroups:
         """Kernel and cokernel dims of the vertex-to-edge fixed-space map.
 
         For a finite-dimensional rational representation of the fundamental
-        group (validated against all defining relations), the map sends a
+        group (validated against its defining relations), the map sends a
         tuple of vertex-group-fixed vectors to, per oriented edge, the
         stable-letter translate of the terminus component minus the origin
         component, read inside the edge-group-fixed subspace.
+
+        A vector fixed by every generator of a group is fixed by the group,
+        so each fixed space is the common kernel of the blocks
+        ``rho(s) - I``, one block per generator ``s`` of
+        ``FiniteGroup.generators`` (of the edge group, mapped into the
+        origin vertex group, for an edge), not one per group element.
         """
-        self.validate()
         representation.validate(self)
         dim = representation.dim
         identity = RationalMatrix.identity(dim)
@@ -330,11 +335,11 @@ class GraphOfFiniteGroups:
                 return [tuple(identity.entry(i, j) for j in range(dim)) for i in range(dim)]
             entries = {}
             for k, m in enumerate(matrices):
+                row0 = k * dim
+                for (i, j), value in m.entries().items():
+                    entries[(row0 + i, j)] = value
                 for i in range(dim):
-                    for j in range(dim):
-                        value = m.entry(i, j) - (1 if i == j else 0)
-                        if value:
-                            entries[(k * dim + i, j)] = value
+                    entries[(row0 + i, i)] = entries.get((row0 + i, i), 0) - 1
             return RationalMatrix(len(matrices) * dim, dim, entries).kernel_basis()
 
         vertex_bases = {}
@@ -342,8 +347,7 @@ class GraphOfFiniteGroups:
         vertex_offsets = {}
         for v in self.graph.vertices:
             group = self.vertex_groups[v]
-            mats = [representation.vertex_matrix(v, a) for a in group.elements if a != group.identity]
-            basis = fixed_space(mats)
+            basis = fixed_space([representation.vertex_matrix(v, s) for s in group.generators()])
             vertex_bases[v] = basis
             vertex_offsets[v] = offset
             offset += len(basis)
@@ -351,16 +355,13 @@ class GraphOfFiniteGroups:
 
         rows = 0
         blocks = []
+        stable = set(self.stable_letters())
         for e in self.orientation():
             origin, terminus = self.graph.origin[e], self.graph.terminus[e]
             incoming = self.embeddings[self.graph.bar[e]]  # edge group inside o(e)
-            edge_group = self.edge_groups[e]
-            mats = [
-                representation.vertex_matrix(origin, incoming(a))
-                for a in edge_group.elements
-                if a != edge_group.identity
-            ]
-            edge_basis = fixed_space(mats)
+            edge_basis = fixed_space(
+                [representation.vertex_matrix(origin, incoming(s)) for s in self.edge_groups[e].generators()]
+            )
             if not edge_basis:
                 continue
             basis_matrix = RationalMatrix(
@@ -373,7 +374,7 @@ class GraphOfFiniteGroups:
                     if edge_basis[j][i]
                 },
             )
-            letter = representation.stable_matrix(e) if e in self.stable_letters() else identity
+            letter = representation.stable_matrix(e) if e in stable else identity
             blocks.append((e, origin, terminus, letter, basis_matrix, rows))
             rows += len(edge_basis)
 
@@ -504,6 +505,8 @@ class PiRepresentation:
     table is a homomorphism, stable matrices are invertible, and all edge
     relations hold: along subtree edges the two edge-group embeddings act
     identically, along the others they differ by stable-letter conjugation.
+    Each relation is checked on a generating set of its group, which
+    implies it on the whole group.
     """
 
     def __init__(self, dim, vertex_matrices, stable_matrices):
@@ -530,6 +533,20 @@ class PiRepresentation:
         return self._stable[e]
 
     def validate(self, gog):
+        """Check the representation against ``gog``, after validating
+        ``gog`` itself, and return True; raise a ``ValidationError`` naming
+        the first violation.
+
+        With S = ``FiniteGroup.generators()``, a vertex table needs only
+        rho(e) = I and rho(a s) = rho(a) rho(s) for every element a and
+        every s in S: the b with rho(a b) = rho(a) rho(b) for all a contain
+        e and S and are closed under products, so they are the whole
+        finite group.  Each edge relation compares two homomorphisms of the
+        edge group (the embeddings are homomorphisms, and conjugation by an
+        invertible stable letter is an automorphism), so it holds on the
+        edge group once it holds on the edge group's generators.
+        """
+        gog.validate()
         for v in gog.graph.vertices:
             group = gog.vertex_groups[v]
             mats = self._vertex.get(v)
@@ -542,11 +559,13 @@ class PiRepresentation:
             # 'dim' without matrices fails here instead of filling memory
             if mats[group.identity] != RationalMatrix.identity(self.dim):
                 raise RelationViolated(f"identity of vertex {v!r} must act trivially")
+            generators = group.generators()
             for a in group.elements:
-                for b in group.elements:
-                    if mats[group.op(a, b)] != mats[a] @ mats[b]:
-                        raise RelationViolated(f"vertex {v!r} table is not multiplicative at ({a}, {b})")
-        for e in gog.stable_letters():
+                for s in generators:
+                    if mats[group.op(a, s)] != mats[a] @ mats[s]:
+                        raise RelationViolated(f"vertex {v!r} table is not multiplicative at ({a}, {s})")
+        stable = gog.stable_letters()
+        for e in stable:
             m = self._stable.get(e)
             if m is None:
                 raise ValidationError(f"missing stable-letter matrix for {e!r}")
@@ -558,8 +577,8 @@ class PiRepresentation:
             outgoing = gog.embeddings[e]  # edge group into t(e)
             incoming = gog.embeddings[gog.graph.bar[e]]  # edge group into o(e)
             origin, terminus = gog.graph.origin[e], gog.graph.terminus[e]
-            letter = self._stable.get(e) if e in gog.stable_letters() else None
-            for a in gog.edge_groups[e].elements:
+            letter = self._stable.get(e) if e in stable else None
+            for a in gog.edge_groups[e].generators():
                 via_t = self.vertex_matrix(terminus, outgoing(a))
                 via_o = self.vertex_matrix(origin, incoming(a))
                 if letter is None:

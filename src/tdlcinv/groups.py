@@ -203,6 +203,12 @@ class FiniteGroup:
     def inverse(self, a):
         return self.inv[a]
 
+    def generators(self):
+        """A generating set: the non-identity elements of the greedy
+        ``_magma_generators``.  Each lies outside the subgroup the earlier
+        ones generate, so there are at most log₂ n of them."""
+        return [g for g in _magma_generators(self.mult) if g != self.identity]
+
     def element_order(self, a):
         x, n = a, 1
         while x != self.identity:

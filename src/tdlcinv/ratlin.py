@@ -11,7 +11,9 @@ works on private row copies.
 ``RationalMatrix._pivots``: fraction-free forward elimination over Python
 ``int``, with a column-to-rows index and gcd content removal.  ``rank``
 counts its pivots; ``kernel_basis`` and ``solve`` back-substitute through
-the pivot rows in ``Fraction`` arithmetic.  Within a column the sparsest
+the pivot rows in ``int`` as well, with the unknowns as numerators over one
+common denominator that grows only when a pivot does not divide, and turn
+them into ``Fraction`` values once at the end.  Within a column the sparsest
 candidate row is the pivot (a cheap Markowitz-style rule to limit fill-in).
 Correctness does not depend on the pivot choice, only the amount of
 intermediate fill does.
@@ -242,8 +244,8 @@ class RationalMatrix:
         basis = []
         for free in range(self.cols):
             if free not in pivot_cols:
-                vec = [Fraction(0)] * self.cols
-                vec[free] = Fraction(1)
+                vec = [0] * self.cols
+                vec[free] = 1
                 basis.append(tuple(_back_substitute(pivots, vec)))
         return basis
 
@@ -265,16 +267,33 @@ class RationalMatrix:
         if pivots and pivots[-1][0] == self.cols:
             raise ValueError("inconsistent linear system")
         # a kernel vector of the augmented matrix with -1 in the rhs column
-        vec = [Fraction(0)] * self.cols + [Fraction(-1)]
-        return _back_substitute(pivots, vec)[:-1]
+        return _back_substitute(pivots, [0] * self.cols + [-1])[:-1]
 
 
 def _back_substitute(pivots, vec):
-    """Fill the pivot coordinates of ``vec`` from its free ones, last pivot
-    first, so that every pivot row of ``_pivots`` holds; returns ``vec``."""
+    """The vector with the free coordinates of ``vec`` (``int`` or
+    ``Fraction``) and its pivot coordinates filled, last pivot first, so
+    that every pivot row of ``_pivots`` holds.
+
+    The work is in ``int``: the coordinates are held as numerators over one
+    common denominator ``den``, first the lcm of the free values'
+    denominators.  A pivot row gives its coordinate as ``-s / (pv * den)``,
+    ``s`` the row times the numerators; when ``p = pv / gcd(s, pv)`` is
+    not 1, ``den`` and every numerator so far are multiplied by ``p``
+    first.  One division per coordinate at the end gives the reduced
+    ``Fraction`` values.
+    """
+    den = lcm(*(x.denominator for x in vec))
+    num = [x.numerator * (den // x.denominator) for x in vec]
     for col, pv, row, _ in reversed(pivots):
-        vec[col] = -sum((v * vec[c] for c, v in row.items() if vec[c]), Fraction(0)) / pv
-    return vec
+        s = sum(v * num[c] for c, v in row.items())
+        g = gcd(s, pv) if pv > 0 else -gcd(s, pv)
+        p = pv // g
+        if p != 1:
+            num = [x * p for x in num]
+            den *= p
+        num[col] = -(s // g)
+    return [Fraction(x, den) for x in num]
 
 
 def chain_ranks(boundary, top):

@@ -1,10 +1,11 @@
 """Shared random-instance generators for the property and acceptance suites."""
 
-from itertools import combinations
+from itertools import combinations, permutations
+from math import gcd, lcm
 
 from tdlcinv.coxeter import INFINITY, CoxeterSystem
 from tdlcinv.groups import FiniteGroup, Hom
-from tdlcinv.graphs_of_groups import build_gog
+from tdlcinv.graphs_of_groups import PiRepresentation, build_gog
 from tdlcinv.simplicial import SimplicialComplex
 
 
@@ -89,3 +90,160 @@ def random_finite_group(rng):
         b = FiniteGroup.cyclic(rng.randint(2, 120 // a.order))
         return FiniteGroup.direct_product(a, b)
     return FiniteGroup.direct_product(FiniteGroup.cyclic(rng.choice([2, 3])), FiniteGroup.symmetric(3))
+
+
+# -- graphs of groups inside S4, with representations pulled back from S4 ---
+
+S4 = tuple(permutations(range(4)))
+# generators of subgroups of S4, by name; the non-cyclic ones need two
+S4_SUBGROUPS = {
+    "C2": [(1, 0, 2, 3)],
+    "C3": [(1, 2, 0, 3)],
+    "C4": [(1, 2, 3, 0)],
+    "C2xC2": [(1, 0, 2, 3), (0, 1, 3, 2)],
+    "V4": [(1, 0, 3, 2), (2, 3, 0, 1)],
+    "S3": [(1, 0, 2, 3), (1, 2, 0, 3)],
+    "D4": [(1, 2, 3, 0), (2, 1, 0, 3)],
+    "A4": [(1, 2, 0, 3), (1, 0, 3, 2)],
+}
+
+
+def compose(p, q):
+    """The permutation p after q."""
+    return tuple(p[i] for i in q)
+
+
+def perm_closure(generators):
+    """Sorted tuple of the subgroup of S4 the permutations generate."""
+    found = {tuple(range(4))}
+    frontier = found
+    while frontier:
+        frontier = {compose(x, g) for x in frontier for g in generators} - found
+        found |= frontier
+    return tuple(sorted(found))
+
+
+def sign(p):
+    return (-1) ** sum(p[i] > p[j] for i, j in combinations(range(4), 2))
+
+
+def perm_group(perms, rng):
+    """``(group, elements)``: the permutations as a ``FiniteGroup`` table,
+    its element ids in a random order, and ``elements[id]`` the permutation."""
+    elements = list(perms)
+    rng.shuffle(elements)
+    index = {p: k for k, p in enumerate(elements)}
+    table = [[index[compose(p, q)] for q in elements] for p in elements]
+    return FiniteGroup.from_table(table), elements
+
+
+def perm_rep_matrix(p, twisted):
+    """The permutation matrix of p (basis vector j goes to p[j]), times
+    sign(p) when ``twisted``; either way a representation of S4."""
+    s = sign(p) if twisted else 1
+    return [[s * int(p[j] == i) for j in range(4)] for i in range(4)]
+
+
+def random_s4_gog(rng):
+    """Random connected graph of subgroups of S4, with loops, and a
+    representation of its fundamental group pulled back from S4.
+
+    Vertex groups are conjugates of the groups of ``S4_SUBGROUPS``; an
+    edge group is generated by up to two random elements of the
+    intersection of its two vertex groups and embeds into both by
+    inclusion.  Stable letters act by elements of S4 centralizing their
+    edge group, so every defining relation holds.  The representation
+    is the permutation one on Q^4, its sign twist, or the sign character
+    on Q^1.  Returns ``(gog, representation)``.
+    """
+    num_vertices = rng.randint(1, 3)
+    vertices = [f"v{i}" for i in range(num_vertices)]
+    perms, groups, elements = {}, {}, {}
+    for v in vertices:
+        c = rng.choice(S4)
+        inverse = tuple(c.index(i) for i in range(4))
+        generators = S4_SUBGROUPS[rng.choice(sorted(S4_SUBGROUPS))]
+        perms[v] = perm_closure([compose(compose(c, g), inverse) for g in generators])
+        groups[v], elements[v] = perm_group(perms[v], rng)
+    pairs = [(vertices[i], vertices[i + 1]) for i in range(num_vertices - 1)]
+    pairs += [(rng.choice(vertices),) * 2 for _ in range(rng.randint(1, 2))]  # loops
+    pairs += [tuple(rng.choices(vertices, k=2)) for _ in range(rng.randint(0, 1))]
+    edges, edge_groups, embeddings, edge_perms = [], {}, {}, {}
+    for k, (u, w) in enumerate(pairs):
+        common = sorted(set(perms[u]) & set(perms[w]))
+        name = f"e{k}"
+        edge_perms[name] = perm_closure(rng.sample(common, min(len(common), rng.randint(0, 2))))
+        group, members = perm_group(edge_perms[name], rng)
+        edges.append((name, u, w))
+        edge_groups[name] = group
+        for end, direction in ((w, "+"), (u, "-")):
+            embeddings[(name, direction)] = Hom(group, groups[end], [elements[end].index(p) for p in members])
+    gog = build_gog(vertices, edges, groups, edge_groups, embeddings)
+    kind = rng.choice(["permutation", "twisted", "sign"])
+    if kind == "sign":
+        dim, matrix = 1, lambda p: [[sign(p)]]
+    else:
+        dim, matrix = 4, lambda p: perm_rep_matrix(p, kind == "twisted")
+    stable = {}
+    for e in gog.stable_letters():
+        centralizer = [z for z in S4 if all(compose(z, a) == compose(a, z) for a in edge_perms[e[0]])]
+        stable[e] = matrix(rng.choice(centralizer))
+    rep = PiRepresentation(dim, {v: [matrix(p) for p in elements[v]] for v in vertices}, stable)
+    return gog, rep
+
+
+# -- the benchmark's family: graphs of cyclic groups over C12 -------------
+
+
+def shift_matrix(x):
+    """The regular representation of C12: basis vector j goes to j + x."""
+    return [[int((i - j - x) % 12 == 0) for j in range(12)] for i in range(12)]
+
+
+def regular_c12_gog(rng, palette=(2, 3, 4, 6, 12), num_vertices=30, extra_edges=30):
+    """Connected graph of cyclic groups, each vertex and edge group mapped
+    injectively into C12, with the pulled-back regular representation of
+    C12, as the group-tables benchmark builds its ``gog --cohomology``
+    inputs.
+
+    Vertex v carries C_n (n | 12) mapped by 1 -> (12/n) c_v with c_v a
+    unit; an edge group C_k embeds so that both images agree in C12, and
+    stable letters act by shifts.  Returns ``(gog, representation,
+    (h0, h1))``, the last from the dimension count: a subgroup of order k
+    of C12 fixes a 12/k dimensional subspace, and h0 is the fixed space of
+    the whole image.
+    """
+    names = [f"v{i:02d}" for i in range(num_vertices)]
+    order = {v: rng.choice(palette) for v in names}
+    unit = {v: rng.choice([c for c in range(1, order[v] + 1) if gcd(c, order[v]) == 1]) for v in names}
+    pairs = [(names[rng.randrange(i)], names[i]) for i in range(1, num_vertices)]
+    pairs += [tuple(rng.sample(names, 2)) for _ in range(extra_edges)]
+    image_order = lcm(*order.values())
+    groups = {v: FiniteGroup.cyclic(order[v]) for v in names}
+    edges, edge_groups, embeddings, shifts = [], {}, {}, {}
+    for k, (u, v) in enumerate(pairs):
+        common = gcd(order[u], order[v])
+        size = rng.choice([d for d in range(1, common + 1) if common % d == 0])
+        edge_id = f"e{k:02d}"
+        edge_group = FiniteGroup.cyclic(size)
+        edges.append((edge_id, u, v))
+        edge_groups[edge_id] = edge_group
+        if size == 1:
+            embeddings[(edge_id, "-")] = trivial_hom(groups[u])
+            embeddings[(edge_id, "+")] = trivial_hom(groups[v])
+        else:
+            twist = unit[u] * pow(unit[v], -1, size) % size
+            embeddings[(edge_id, "-")] = Hom.from_generator_images(edge_group, groups[u], [1], [order[u] // size])
+            embeddings[(edge_id, "+")] = Hom.from_generator_images(
+                edge_group, groups[v], [1], [order[v] // size * twist % order[v]]
+            )
+        shifts[edge_id] = 12 // image_order * rng.randrange(image_order)
+    gog = build_gog(names, edges, groups, edge_groups, embeddings)
+    rep = PiRepresentation(
+        12,
+        {v: [shift_matrix(12 // order[v] * unit[v] * a) for a in range(order[v])] for v in names},
+        {e: shift_matrix(shifts[e[0]]) for e in gog.stable_letters()},
+    )
+    h0 = 12 // image_order
+    h1 = sum(12 // g.order for g in edge_groups.values()) - sum(12 // n for n in order.values()) + h0
+    return gog, rep, (h0, h1)

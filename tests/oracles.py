@@ -338,3 +338,73 @@ def _divide_by_t_analogue(coeffs, d):
         for i in range(d):
             remainder[k + i] -= quotient[k]
     return None if any(remainder) else quotient
+
+
+def dense_tree_action_cohomology(gog, representation):
+    """``(h0, h1)`` of the Bass–Serre two-term complex, densely.
+
+    Each fixed space is the dense kernel of the blocks rho(g) - I stacked
+    for every non-identity element g of the group (for an edge, of the
+    edge group mapped into the origin vertex group).  A vertex basis
+    vector b contributes, per oriented edge e, the coordinates of
+    L_e b at the terminus and of -b at the origin in the edge's fixed
+    basis, found by ``dense_solve``; L_e is the stable-letter matrix, or
+    the identity on a subtree edge.  h0 and h1 are the kernel and
+    cokernel dimensions of the assembled matrix, by ``dense_rank``.
+    """
+    dim = representation.dim
+
+    def fixed_basis(matrices):
+        rows = [[m[i][j] - (i == j) for j in range(dim)] for m in matrices for i in range(dim)]
+        return dense_kernel_basis(rows, dim)
+
+    def fixed_in(v, elements):
+        """Basis of the vectors that the listed elements of G_v fix."""
+        group = gog.vertex_groups[v]
+        return fixed_basis(
+            [representation.vertex_matrix(v, a).to_dense() for a in elements if a != group.identity]
+        )
+
+    columns = [(v, b) for v in gog.graph.vertices for b in fixed_in(v, gog.vertex_groups[v].elements)]
+    stable = gog.stable_letters()
+    rows = []
+    for e in gog.orientation():
+        origin, terminus = gog.graph.origin[e], gog.graph.terminus[e]
+        incoming = gog.embeddings[gog.graph.bar[e]]
+        edge_basis = fixed_in(origin, [incoming(a) for a in gog.edge_groups[e].elements])
+        if not edge_basis:
+            continue
+        as_columns = [[b[i] for b in edge_basis] for i in range(dim)]
+        letter = representation.stable_matrix(e).to_dense() if e in stable else None
+        block = [[Fraction(0)] * len(columns) for _ in edge_basis]
+        for k, (v, b) in enumerate(columns):
+            images = []
+            if v == terminus:
+                images.append(b if letter is None else [sum(letter[i][j] * b[j] for j in range(dim)) for i in range(dim)])
+            if v == origin:
+                images.append([-x for x in b])
+            for image in images:
+                coords = dense_solve(as_columns, len(edge_basis), image)
+                if coords is None:
+                    raise AssertionError(f"an image of a fixed vector leaves the fixed space of {e!r}")
+                for r, c in enumerate(coords):
+                    block[r][k] += c
+        rows.extend(block)
+    rank = dense_rank(rows)
+    return len(columns) - rank, len(rows) - rank
+
+
+def trace_euler_characteristic(gog, representation):
+    """h0 - h1 without a rank: dim V^G = (1/|G|) sum_g tr rho(g), summed
+    over the vertices minus the same sum over the oriented edges, whose
+    groups act through their embeddings into the origin vertex."""
+
+    def fixed_dim(v, elements):
+        matrices = [representation.vertex_matrix(v, a).to_dense() for a in elements]
+        return Fraction(sum(m[i][i] for m in matrices for i in range(representation.dim)), len(matrices))
+
+    total = sum(fixed_dim(v, gog.vertex_groups[v].elements) for v in gog.graph.vertices)
+    for e in gog.orientation():
+        incoming = gog.embeddings[gog.graph.bar[e]]
+        total -= fixed_dim(gog.graph.origin[e], [incoming(a) for a in gog.edge_groups[e].elements])
+    return total

@@ -381,6 +381,8 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         ("gog --cohomology", _c4_entry([])),
         ("gog --cohomology", _c4_entry({})),
         ("gog --cohomology", _c4_entry("1e100000000")),
+        ("gog --cohomology", _c4_entry("1/0")),
+        ("gog --cohomology", _c4_rep(vertex_actions={"v": [[[1]], [[-1]], [[1]], [[1]]]})),
         ("coxeter --bott", _affine_a(ABOVE_GENERATOR_CAP - 1)),
         ("coxeter --altsum", _affine_a(ABOVE_GENERATOR_CAP - 1)),
         ("davis", {"size": ABOVE_GENERATOR_CAP, "m": [
@@ -451,6 +453,8 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "rep-entry-list",
         "rep-entry-object",
         "rep-entry-exponent-above-cap",
+        "rep-entry-zero-denominator",
+        "rep-vertex-table-not-multiplicative",
         "coxeter-bott-above-generator-cap",
         "coxeter-altsum-above-generator-cap",
         "davis-above-generator-cap",

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,28 @@ from tdlcinv.graphs_of_groups import (
     NotHomomorphism,
     PiRepresentation,
     PiWord,
+    RelationViolated,
     aut_tree_chi,
     build_gog,
     cycle_index_ratio_products,
     load_gog,
 )
+from tdlcinv.ratlin import RationalMatrix
 from tdlcinv.serre_graphs import SerreGraph
 
-from fuzzers import random_gog, trivial_hom
+from fuzzers import (
+    S4,
+    S4_SUBGROUPS,
+    compose,
+    perm_closure,
+    perm_group,
+    perm_rep_matrix,
+    random_gog,
+    random_s4_gog,
+    regular_c12_gog,
+    trivial_hom,
+)
+from oracles import dense_tree_action_cohomology, trace_euler_characteristic
 
 
 def edge_of_groups(group_u, group_w, edge_group=None, embed_to=None, embed_from=None):
@@ -320,6 +335,119 @@ def test_tree_action_cohomology_two_dimensional():
         {},
     )
     assert gog.tree_action_cohomology(rep) == (0, 1)
+
+
+def test_tree_action_cohomology_matches_dense_oracle_and_trace():
+    # graphs of subgroups of S4 (S3, D4, C2xC2, V4, A4, cyclic) with loops,
+    # under the permutation representation, its sign twist or the sign
+    # character; the oracle stacks every non-identity element, and the
+    # trace formula gives h0 - h1 with no rank at all
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(40):
+        gog, rep = random_s4_gog(rng)
+        h0, h1 = gog.tree_action_cohomology(rep)
+        assert (h0, h1) == dense_tree_action_cohomology(gog, rep)
+        assert h0 - h1 == trace_euler_characteristic(gog, rep)
+        seen["two generators"] += any(len(g.generators()) >= 2 for g in gog.vertex_groups.values())
+        seen["two edge generators"] += any(len(g.generators()) >= 2 for g in gog.edge_groups.values())
+        seen["nontrivial stable letter"] += any(
+            rep.stable_matrix(e) != RationalMatrix.identity(rep.dim) for e in gog.stable_letters()
+        )
+        seen[f"dim {rep.dim}"] += 1
+        seen["h1 > 0"] += h1 > 0
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("name", ["S3", "C2xC2", "D4"])
+def test_vertex_table_corrupted_at_any_element_is_rejected(name):
+    # the subgroup of S4 at a single vertex, under the permutation
+    # representation; doubling any one non-identity matrix breaks it
+    group, elements = perm_group(perm_closure(S4_SUBGROUPS[name]), random.Random(name))
+    gog = single_vertex(group)
+    mats = [perm_rep_matrix(p, False) for p in elements]
+    assert len(group.generators()) >= 2
+    PiRepresentation(4, {"v": mats}, {}).validate(gog)
+    for g in group.elements:
+        if g == group.identity:
+            continue
+        bad = list(mats)
+        bad[g] = [[2 * x for x in row] for row in mats[g]]
+        with pytest.raises(RelationViolated):
+            PiRepresentation(4, {"v": bad}, {}).validate(gog)
+
+
+def test_vertex_table_multiplicative_along_one_generator_only_is_rejected():
+    # on C2 x C2 = {1, t, u, tu}, the table 1, A, B, BA with involutions A
+    # and B that do not commute passes every check rho(a t) = rho(a) rho(t),
+    # but rho(t u) = rho(t) rho(u) = AB fails; each ordered pair (t, u)
+    # puts the flaw on another generator
+    c2c2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    gog = single_vertex(c2c2)
+    swap, flip = [[0, 1], [1, 0]], [[1, 0], [0, -1]]
+    product = (RationalMatrix.from_rows(flip) @ RationalMatrix.from_rows(swap)).to_dense()
+    involutions = [x for x in c2c2.elements if x != c2c2.identity]
+    for t in involutions:
+        for u in involutions:
+            if u == t:
+                continue
+            table = [None] * 4
+            table[c2c2.identity], table[t], table[u], table[c2c2.op(t, u)] = [[1, 0], [0, 1]], swap, flip, product
+            with pytest.raises(RelationViolated):
+                PiRepresentation(2, {"v": table}, {}).validate(gog)
+
+
+def test_stable_letter_relation_holds_exactly_on_the_centralizer():
+    # a loop at A4 over its normal V4, embedded by inclusion at both ends:
+    # the stable letter P(z) satisfies the relation exactly when z
+    # centralizes V4 in S4, and some z commute with one generator of V4
+    # but not the other
+    rng = random.Random(43)
+    vertex, elements = perm_group(perm_closure(S4_SUBGROUPS["A4"]), rng)
+    v4, members = perm_group(perm_closure(S4_SUBGROUPS["V4"]), rng)
+    assert len(v4.generators()) == 2
+    embed = Hom(v4, vertex, [elements.index(p) for p in members])
+    gog = loop_of_groups(vertex, v4, embed_to=embed, embed_from=embed)
+    (e,) = gog.stable_letters()
+    mats = [perm_rep_matrix(p, False) for p in elements]
+    commuting = 0
+    for z in S4:
+        rep = PiRepresentation(4, {"v": mats}, {e: perm_rep_matrix(z, False)})
+        if all(compose(z, a) == compose(a, z) for a in members):
+            commuting += 1
+            assert rep.validate(gog)
+        else:
+            with pytest.raises(RelationViolated):
+                rep.validate(gog)
+    assert commuting == 4  # V4 is its own centralizer in S4
+
+
+def test_validate_and_fixed_spaces_work_on_generators_only(monkeypatch):
+    # the group-tables benchmark's family: 30 cyclic vertex groups under
+    # the pulled-back regular representation of C12
+    gog, rep, expected = regular_c12_gog(random.Random(47))
+    matmuls = []
+    stacked = []
+    matmul, kernel_basis = RationalMatrix.__matmul__, RationalMatrix.kernel_basis
+
+    def counting_matmul(self, other):
+        matmuls.append((self.rows, other.cols))
+        return matmul(self, other)
+
+    def recording_kernel_basis(self):
+        stacked.append(self.rows)
+        return kernel_basis(self)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counting_matmul)
+    rep.validate(gog)
+    vertex_products = sum(g.order * len(g.generators()) for g in gog.vertex_groups.values())
+    edge_products = sum(2 * len(gog.edge_groups[e].generators()) for e in gog.stable_letters())
+    assert len(matmuls) <= vertex_products + edge_products
+    monkeypatch.setattr(RationalMatrix, "kernel_basis", recording_kernel_basis)
+    assert gog.tree_action_cohomology(rep) == expected
+    blocks = [len(g.generators()) for g in gog.vertex_groups.values()]
+    blocks += [len(gog.edge_groups[e].generators()) for e in gog.orientation()]
+    assert sorted(stacked) == sorted(12 * k for k in blocks if k)
 
 
 def test_disconnected_graph_rejected():
