@@ -332,7 +332,7 @@ class GraphOfFiniteGroups:
 
         def fixed_space(matrices):
             if not matrices:
-                return [tuple(identity.entry(i, j) for j in range(dim)) for i in range(dim)]
+                return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
             entries = {}
             for k, m in enumerate(matrices):
                 row0 = k * dim

@@ -1,22 +1,24 @@
 """Exact sparse linear algebra over the rationals.
 
 Entries are ``int`` or ``fractions.Fraction``: integers, such as the ±1 of
-every boundary matrix, are stored as they are, and every other value is
-converted to ``Fraction``.  Every rank, kernel and homology dimension
-computed here is exact, and no mathematical code path touches floating
-point.  Matrices are immutable after construction; elimination always
-works on private row copies.
+every boundary matrix, and ``Fraction`` values are stored as they are, and
+every other value is converted to ``Fraction``.  Every rank, kernel and
+homology dimension computed here is exact, and no mathematical code path
+touches floating point.  Matrices are immutable after construction;
+elimination always works on private row copies.
 
 ``rank``, ``kernel_basis`` and ``solve`` share one elimination kernel,
 ``RationalMatrix._pivots``: fraction-free forward elimination over Python
-``int``, with a column-to-rows index and gcd content removal.  ``rank``
-counts its pivots; ``kernel_basis`` and ``solve`` back-substitute through
-the pivot rows in ``int`` as well, with the unknowns as numerators over one
-common denominator that grows only when a pivot does not divide, and turn
-them into ``Fraction`` values once at the end.  Within a column the sparsest
-candidate row is the pivot (a cheap Markowitz-style rule to limit fill-in).
-Correctness does not depend on the pivot choice, only the amount of
-intermediate fill does.
+``int``, with a column-to-rows index and gcd content removal.  Integer
+entries enter the elimination as they are; only the rows that hold a
+``Fraction`` are scaled to integers, each by the lcm of its denominators.
+``rank`` counts its pivots; ``kernel_basis`` and ``solve`` back-substitute
+through the pivot rows in ``int`` as well, with the unknowns as numerators
+over one common denominator that grows only when a pivot does not divide,
+and turn them into ``Fraction`` values once at the end.  Within a column
+the sparsest candidate row is the pivot, the lowest row id on a tie (a
+cheap Markowitz-style rule to limit fill-in).  Correctness does not depend
+on the pivot choice, only the amount of intermediate fill does.
 
 The boundary maps of a chain complex are ranked together by
 ``chain_ranks``, top degree first, with clearing: the columns of ``d_q``
@@ -55,8 +57,8 @@ class RationalMatrix:
             for (i, j), value in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry index ({i}, {j}) outside {rows}x{cols}")
-                if type(value) is not int:  # a bool, too, becomes a Fraction
-                    value = Fraction(value)
+                if type(value) is not int and type(value) is not Fraction:
+                    value = Fraction(value)  # a bool, too
                 if value:
                     cleaned[(i, j)] = value
         self._entries = cleaned
@@ -166,30 +168,45 @@ class RationalMatrix:
         is a nonzero multiple of its own input row plus a combination of
         the input rows of earlier pivots.
 
-        Each row is scaled by the lcm of its denominators.  Columns are
-        visited left to right; ``by_col`` maps a column to the rows with an
-        entry there, so the candidates for a pivot are looked up, not
-        searched for.  The sparsest candidate (lowest row on a tie) is the
-        pivot; every other candidate loses its entry ``a`` in the pivot
-        column, by ``row - a*pv*pivot_row`` when the pivot ``pv`` is ±1 and
-        otherwise by ``pv*row - a*pivot_row`` with both factors divided by
-        ``gcd(pv, a)`` and the result divided by its gcd content.  No entry
-        left of the current column survives, so fill-in lands only to its
-        right, and the pivot row leaves the elimination once yielded.
+        ``int`` entries go into the rows as they are; only a row holding a
+        ``Fraction`` is scaled, by the lcm of its denominators, so an
+        all-integer matrix, such as every boundary matrix, is never scaled.
+        Columns are visited left to right; ``by_col`` maps a column to the
+        rows with an entry there, so the candidates for a pivot are looked
+        up, not searched for.  The pivot is the candidate with the fewest
+        entries, the lowest row id on a tie; every other candidate loses
+        its entry ``a`` in the pivot column, by ``row - a*pv*pivot_row``
+        when the pivot ``pv`` is ±1 (just by deleting ``a`` when the pivot
+        row has no other entry) and otherwise by ``pv*row - a*pivot_row``
+        with both factors divided by ``gcd(pv, a)`` and the result divided
+        by its gcd content.  No entry left of the current column survives,
+        so fill-in lands only to its right, and the pivot row leaves the
+        elimination once yielded.
         """
-        scales = [1] * self.rows
-        by_col = {}
-        for (i, j), v in self._entries.items():
-            scales[i] = lcm(scales[i], v.denominator)
-            by_col.setdefault(j, set()).add(i)
         rows = [{} for _ in range(self.rows)]
+        by_col = {}
+        fractional = set()
         for (i, j), v in self._entries.items():
-            rows[i][j] = v.numerator * (scales[i] // v.denominator)
+            rows[i][j] = v
+            if type(v) is not int:
+                fractional.add(i)
+            if j in by_col:
+                by_col[j].add(i)
+            else:
+                by_col[j] = {i}
+        for i in fractional:
+            row = rows[i]
+            scale = lcm(*(v.denominator for v in row.values()))
+            rows[i] = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
         for col in range(self.cols):
             ids = by_col.pop(col, None)
             if not ids:
                 continue
-            pid = min(ids, key=lambda i: (len(rows[i]), i))
+            pid, fewest = -1, self.cols + 1
+            for i in ids:
+                n = len(rows[i])
+                if n < fewest or n == fewest and i < pid:
+                    pid, fewest = i, n
             ids.discard(pid)
             pivot_row = rows[pid]
             rows[pid] = None
@@ -197,6 +214,11 @@ class RationalMatrix:
             for c in pivot_row:
                 by_col[c].discard(pid)
             unit = pv == 1 or pv == -1
+            if unit and not pivot_row:
+                for rid in ids:
+                    del rows[rid][col]
+                yield col, pv, pivot_row, pid
+                continue
             for rid in ids:
                 row = rows[rid]
                 a = row.pop(col)

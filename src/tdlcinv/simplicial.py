@@ -224,6 +224,10 @@ class SimplicialComplex:
         neither the complex nor ``away`` raises ``NotClosed``.  Columns are
         numbered over the q-simplices outside ``away``, and those whose
         numbers are in ``cleared`` are left out (``ratlin.chain_ranks``).
+
+        The faces of a simplex ``s`` come from ``combinations(s, q)``, which
+        drops the last vertex first: the k-th face drops position ``q - k``
+        and has sign ``(-1)^(q - k)``.
         """
         rows, kept = {}, 0
         for s in self.simplices(q - 1):
@@ -235,16 +239,16 @@ class SimplicialComplex:
         cols = [s for s in self.simplices(q) if s not in away]
         if cleared:
             cols = [s for j, s in enumerate(cols) if j not in cleared]
+        signs = [(-1) ** (q - k) for k in range(q + 1)]
         entries = {}
         for j, s in enumerate(cols):
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1:]
+            for face, sign in zip(combinations(s, q), signs):
                 try:
                     i = rows[face]
                 except KeyError:
                     raise NotClosed(s, face) from None
                 if i is not None:
-                    entries[(i, j)] = -1 if drop % 2 else 1
+                    entries[(i, j)] = sign
         return RationalMatrix(kept, len(cols), entries)
 
     def chain_boundary_maps(self):

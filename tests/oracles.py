@@ -6,6 +6,7 @@ enumeration, plain DFS) and shares no code with the library paths it checks.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 
 def dense_rank(rows):
@@ -408,3 +409,88 @@ def trace_euler_characteristic(gog, representation):
         incoming = gog.embeddings[gog.graph.bar[e]]
         total -= fixed_dim(gog.graph.origin[e], [incoming(a) for a in gog.edge_groups[e].elements])
     return total
+
+
+def reference_pivots(matrix):
+    """Reference for ``RationalMatrix._pivots``: the same fraction-free
+    elimination with every row, integer or not, scaled by the lcm of its
+    denominators, the pivot picked by ``min`` over ``(len(row), row id)``,
+    and one update rule for every candidate row.
+
+    The library kernel must yield the same ``(col, pv, row, rid)`` sequence
+    for any ``RationalMatrix``.
+    """
+    scales = [1] * matrix.rows
+    by_col = {}
+    for (i, j), v in matrix._entries.items():
+        scales[i] = lcm(scales[i], v.denominator)
+        by_col.setdefault(j, set()).add(i)
+    rows = [{} for _ in range(matrix.rows)]
+    for (i, j), v in matrix._entries.items():
+        rows[i][j] = v.numerator * (scales[i] // v.denominator)
+    for col in range(matrix.cols):
+        ids = by_col.pop(col, None)
+        if not ids:
+            continue
+        pid = min(ids, key=lambda i: (len(rows[i]), i))
+        ids.discard(pid)
+        pivot_row = rows[pid]
+        rows[pid] = None
+        pv = pivot_row.pop(col)
+        for c in pivot_row:
+            by_col[c].discard(pid)
+        unit = pv == 1 or pv == -1
+        for rid in ids:
+            row = rows[rid]
+            a = row.pop(col)
+            if unit:
+                f = a * pv
+            else:
+                g = gcd(pv, a)
+                p, f = pv // g, a // g
+                if p != 1:
+                    for c in row:
+                        row[c] *= p
+            for c, v in pivot_row.items():
+                new = row.get(c, 0) - f * v
+                if new:
+                    if c not in row:
+                        by_col[c].add(rid)
+                    row[c] = new
+                else:
+                    del row[c]
+                    by_col[c].discard(rid)
+            if not unit and row:
+                content = gcd(*row.values())
+                if content != 1:
+                    for c in row:
+                        row[c] //= content
+        yield col, pv, pivot_row, pid
+
+
+def sliced_boundary(complex_, q, away, cleared):
+    """The relative boundary ``SimplicialComplex._boundary(q, away, cleared)``
+    built by slicing: the face dropping position ``drop`` is
+    ``s[:drop] + s[drop + 1:]`` with sign ``(-1)^drop``.
+
+    Returns ``(rows, cols, entries)``; a face in neither the complex nor
+    ``away`` raises ``KeyError``.
+    """
+    rows, kept = {}, 0
+    for s in complex_.simplices(q - 1):
+        if s in away:
+            rows[s] = None
+        else:
+            rows[s] = kept
+            kept += 1
+    cols = [s for s in complex_.simplices(q) if s not in away]
+    if cleared:
+        cols = [s for j, s in enumerate(cols) if j not in cleared]
+    entries = {}
+    for j, s in enumerate(cols):
+        for drop in range(len(s)):
+            face = s[:drop] + s[drop + 1:]
+            i = rows[face]
+            if i is not None:
+                entries[(i, j)] = -1 if drop % 2 else 1
+    return kept, len(cols), entries

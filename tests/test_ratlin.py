@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
+import tdlcinv.ratlin
+from tdlcinv.coxeter import CoxeterSystem
 from tdlcinv.davis import build_chamber
 from tdlcinv.ratlin import CompositionNonZero, RationalMatrix, chain_ranks, homology_dims
 from tdlcinv.simplicial import SimplicialComplex, relative_cohomology, union_complexes
@@ -14,6 +17,7 @@ from oracles import (
     dense_kernel_basis,
     dense_rank,
     dense_solve,
+    reference_pivots,
     small_integer_kernel,
     subset_rank,
 )
@@ -222,6 +226,88 @@ def test_int_and_fraction_entries_are_the_same_matrix():
     assert type(ints.entry(0, 0)) is int
     assert type(RationalMatrix(1, 1, {(0, 0): True}).entry(0, 0)) is Fraction
     assert RationalMatrix(1, 1, {(0, 0): 0.5}).entry(0, 0) == Fraction(1, 2)
+
+
+def test_fraction_entries_are_stored_as_given():
+    half = Fraction(1, 2)
+    whole = Fraction(3)
+    m = RationalMatrix(1, 2, {(0, 0): half, (0, 1): whole})
+    assert m.entries()[(0, 0)] is half
+    assert m.entries()[(0, 1)] is whole
+
+
+def _mixed_matrix(rng, rows, cols):
+    # each entry an int or a Fraction, denominator 1 included, so rows mix
+    # both kinds and some Fraction rows need no scaling
+    density = rng.uniform(0.2, 0.7)
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                value = rng.randint(-5, 5)
+                entries[(i, j)] = value if rng.random() < 0.5 else Fraction(value, rng.randint(1, 6))
+    return RationalMatrix(rows, cols, entries)
+
+
+def _with_empty_lines(rng, m):
+    dead_rows = set(rng.sample(range(m.rows), m.rows // 3))
+    dead_cols = set(rng.sample(range(m.cols), m.cols // 3))
+    kept = {(i, j): v for (i, j), v in m.entries().items() if i not in dead_rows and j not in dead_cols}
+    return RationalMatrix(m.rows, m.cols, kept)
+
+
+def _pivot_test_matrices():
+    rng = random.Random(43)
+    for n in (0, 1, 5):
+        yield RationalMatrix.zero(0, n)
+        yield RationalMatrix.zero(n, 0)
+    for _ in range(60):
+        yield _sign_matrix(rng, rng.randint(1, 25), rng.randint(1, 25))
+    for _ in range(20):
+        yield _clique_complex(rng).boundary_matrix(1)
+        complex_ = _clique_complex(rng)
+        if complex_.dim >= 2:
+            yield complex_.boundary_matrix(2)
+    for _ in range(60):
+        yield _integer_matrix(rng, rng.randint(1, 20), rng.randint(1, 20))
+    for _ in range(20):
+        inner = rng.randint(1, 8)
+        left = _integer_matrix(rng, rng.randint(1, 16), inner, bound=3)
+        yield left @ _integer_matrix(rng, inner, rng.randint(1, 16), bound=3)
+    for _ in range(120):
+        yield _mixed_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+    for _ in range(60):
+        source = rng.choice((_sign_matrix, _integer_matrix, _mixed_matrix))
+        yield _with_empty_lines(rng, source(rng, rng.randint(1, 15), rng.randint(1, 15)))
+
+
+def test_pivots_match_the_reference_kernel():
+    """The integer fast path yields exactly the reference sequence: same
+    pivot columns, pivot values, reduced rows and row ids, all in ``int``."""
+    for m in _pivot_test_matrices():
+        pivots = list(m._pivots())
+        assert pivots == list(reference_pivots(m))
+        for _, pv, row, _ in pivots:
+            assert type(pv) is int
+            assert all(type(v) is int for v in row.values())
+
+
+def test_integer_boundary_is_ranked_without_lcm(monkeypatch):
+    calls = []
+
+    def counting_lcm(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(tdlcinv.ratlin, "lcm", counting_lcm)
+    size = 4  # affine A3: a 4-cycle of 3-labels
+    chamber = build_chamber(
+        CoxeterSystem([[1 if i == j else 3 if (i - j) % size in (1, 3) else 2 for j in range(size)] for i in range(size)])
+    )
+    d2 = chamber.complex.boundary_matrix(2)
+    assert d2.nnz > 0
+    assert d2.rank() == dense_rank(d2.to_dense())
+    assert calls == []
 
 
 def test_homology_matches_dense_oracle_on_random_two_step_complexes():

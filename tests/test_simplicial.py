@@ -17,7 +17,7 @@ from tdlcinv.simplicial import (
     union_complexes,
 )
 
-from oracles import dense_homology, extension_coboundary
+from oracles import dense_homology, extension_coboundary, sliced_boundary
 
 TRIANGLE = SimplicialComplex.from_maximal([(0, 1), (0, 2), (1, 2)])
 SOLID_TRIANGLE = SimplicialComplex.from_maximal([(0, 1, 2)])
@@ -72,6 +72,25 @@ def test_missing_face_raises_in_absolute_and_relative_boundary():
     for away in (SimplicialComplex.empty(), SimplicialComplex([(0,)])):
         with pytest.raises(NotClosed):
             relative_cohomology(open_complex, away)
+
+
+def test_boundary_matches_sliced_oracle_entry_for_entry():
+    rng = random.Random(17)
+    degrees = set()
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        maximal = [(v,) for v in range(n)]
+        maximal += [tuple(rng.sample(range(n), rng.randint(1, min(5, n)))) for _ in range(rng.randint(0, 6))]
+        complex_ = SimplicialComplex.from_maximal(maximal)
+        simplices = sorted(complex_.all_simplices())
+        away = SimplicialComplex(rng.sample(simplices, rng.randint(0, len(simplices) // 2))).all_simplices()
+        for q in range(1, complex_.dim + 1):
+            degrees.add(q)
+            columns = sum(s not in away for s in complex_.simplices(q))
+            for cleared in (frozenset(), frozenset(rng.sample(range(columns), rng.randint(0, columns)))):
+                m = complex_._boundary(q, away, cleared)
+                assert (m.rows, m.cols, m.entries()) == sliced_boundary(complex_, q, away, cleared)
+    assert degrees == {1, 2, 3, 4}
 
 
 def test_full_complex_on_four_vertices():
