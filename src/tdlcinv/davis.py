@@ -19,6 +19,26 @@ reading for comparison, which demotes rank-one cases to dimension zero.
 
 The poset is read off the scan ``CoxeterSystem.spherical_subsets``.
 
+Rows are ranked once per orbit of the diagram automorphisms.  A
+permutation sigma of the generators with m[sigma i][sigma j] = m[i][j]
+carries the Coxeter presentation of W_T onto that of W_{sigma T}, so it
+maps spherical subsets to spherical subsets and preserves inclusion: it is
+an automorphism of the poset, hence a simplicial automorphism of K.  A
+chain lies in the mirror of s exactly when s is in its least subset, so
+sigma carries the mirror of s onto the mirror of sigma s, and the union of
+the mirrors off T onto the union of the mirrors off sigma T.  An
+isomorphism of pairs gives isomorphic relative cohomology, so the rows of
+T and sigma T are equal (Davis, *The Geometry and Topology of Coxeter
+Groups*, 2008, Ch. 8).  ``relative_table`` therefore ranks the first subset
+of each orbit and copies its dims to the rest.
+
+The automorphisms come from a stabilizer-chain search
+(``diagram_automorphisms``) that returns generators and never lists the
+group: D-infinity times C2^k alone has 2 k! of them.  The search tries at
+most (number of spherical subsets) * n candidate images.  Stopping early
+leaves a subgroup, whose orbits refine the true ones; each class still
+lies in one orbit, so the table stays exact and only the saving shrinks.
+
 Finite systems short-circuit: a compact group has dimension zero and is
 trivially a duality group.
 """
@@ -94,18 +114,96 @@ def build_chamber(system, allow_finite=False):
         extend([subset], subset)
     chamber = SimplicialComplex(chains, generate_closure=False)
 
-    mirrors = {}
-    for s in system.generators:
-        containing = {vertex_of_subset[sub] for sub in poset.subsets if s in sub}
-        mirror_chains = [
-            chain for chain in chains if set(chain) <= containing
-        ]
-        mirrors[s] = (
-            SimplicialComplex(mirror_chains, generate_closure=False)
-            if mirror_chains
-            else SimplicialComplex.empty()
-        )
+    # chains ascend, so a chain lies in the mirror of s iff its least subset
+    # contains s
+    mirror_chains = {s: [] for s in system.generators}
+    for chain in chains:
+        for s in poset.subsets[chain[0]]:
+            mirror_chains[s].append(chain)
+    mirrors = {
+        s: SimplicialComplex(mirror_chains[s], generate_closure=False) for s in system.generators
+    }
     return DavisChamber(system, poset, chamber, vertex_of_subset, mirrors)
+
+
+def diagram_automorphisms(m, budget):
+    """Generators of the diagram automorphisms of the label matrix ``m``:
+    the permutations sigma with m[sigma i][sigma j] = m[i][j].
+
+    A stabilizer-chain search.  For k from n - 1 down to 0, with 0..k-1
+    fixed, it looks for one automorphism sending k to each c not yet in
+    k's orbit under the generators found so far; those fix 0..k-1 and
+    already generate the stabilizer of 0..k, so the generators found at
+    level k complete the stabilizer of 0..k-1.  An image is extended one
+    generator at a time, and generator i is only sent to generators with
+    the same sorted label row.  After ``budget`` candidate images it finds
+    nothing more and returns the generators found so far.
+    """
+    n = len(m)
+    profile = [sorted(row) for row in m]
+    alike = [[c for c in range(n) if profile[c] == profile[i]] for i in range(n)]
+    nodes = budget
+
+    def fits(image, c):
+        # whether image + [c] keeps every label among its points
+        nonlocal nodes
+        if nodes <= 0:
+            return False
+        nodes -= 1
+        row, target = m[len(image)], m[c]
+        return all(target[image[j]] == row[j] for j in range(len(image)))
+
+    def extend(image):
+        if len(image) == n:
+            return image
+        for c in alike[len(image)]:
+            if c not in image and fits(image, c):
+                found = extend(image + [c])
+                if found:
+                    return found
+        return None
+
+    generators = []
+    for k in reversed(range(n)):
+        fixed = list(range(k))
+        orbit = _orbit(k, generators)
+        for c in alike[k]:
+            if c > k and c not in orbit and fits(fixed, c):
+                found = extend(fixed + [c])
+                if found:
+                    generators.append(tuple(found))
+                    orbit = _orbit(k, generators)
+    return generators
+
+
+def _orbit(point, generators):
+    orbit, frontier = {point}, [point]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                frontier.append(g[p])
+    return orbit
+
+
+def subset_orbits(index_of_subset, generators):
+    """For each subset, in the order of ``index_of_subset``, the index of
+    the first subset of its orbit under the generators, merged by
+    union-find."""
+    root = list(range(len(index_of_subset)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for g in generators:
+        for subset, i in index_of_subset.items():
+            a, b = find(i), find(index_of_subset[frozenset(g[s] for s in subset)])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(root))]
 
 
 class DualityVerdict(Record):
@@ -133,10 +231,9 @@ class DualityVerdict(Record):
         }
 
 
-def _relative_row(chamber, subset):
+def _relative_dims(chamber, subset):
     mirrors = [chamber.mirrors[s] for s in chamber.system.generators if s not in subset]
-    away = union_complexes(mirrors) if mirrors else SimplicialComplex.empty()
-    return tuple(sorted(subset)), tuple(relative_cohomology(chamber.complex, away))
+    return tuple(relative_cohomology(chamber.complex, union_complexes(mirrors)))
 
 
 def relative_table(chamber, include_empty=True):
@@ -144,9 +241,19 @@ def relative_table(chamber, include_empty=True):
 
     Scans every spherical subset T (the empty set included by default) and
     tabulates the relative cohomology of (K, union of mirrors off T) in
-    the poset's order.
+    the poset's order.  Only the first subset of each diagram-automorphism
+    orbit is ranked; the others copy its dims.
     """
-    rows = [_relative_row(chamber, s) for s in chamber.poset.subsets if s or include_empty]
+    subsets = chamber.poset.subsets
+    generators = diagram_automorphisms(chamber.system.m, len(subsets) * chamber.system.n)
+    first = subset_orbits(chamber.vertex_of_subset, generators)
+    dims_of = {}
+    rows = []
+    for i, subset in enumerate(subsets):
+        if subset or include_empty:
+            if first[i] not in dims_of:
+                dims_of[first[i]] = _relative_dims(chamber, subset)
+            rows.append((tuple(sorted(subset)), dims_of[first[i]]))
     degrees_seen = {degree for _, dims in rows for degree, dim in enumerate(dims) if dim}
     return DualityVerdict(
         cd=max(degrees_seen, default=0),

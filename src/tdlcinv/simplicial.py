@@ -290,11 +290,17 @@ class SimplicialComplex:
 
 
 def union_complexes(complexes):
-    """Union of subcomplexes of a common complex."""
-    simplices = set()
+    """Union of subcomplexes of a common complex, graded from their
+    canonical simplices with none sorted again."""
+    graded = {}
     for c in complexes:
-        simplices.update(c.all_simplices())
-    return SimplicialComplex(simplices, generate_closure=False)
+        for q, simplices in c._graded.items():
+            graded.setdefault(q, set()).update(simplices)
+    union = SimplicialComplex.__new__(SimplicialComplex)
+    union._graded = {q: tuple(sorted(v)) for q, v in graded.items()}
+    union._simplices = frozenset().union(*union._graded.values())
+    union.vertices = tuple(v[0] for v in union._graded.get(0, ()))
+    return union
 
 
 def relative_cohomology(complex_, subcomplex):

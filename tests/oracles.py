@@ -5,8 +5,10 @@ enumeration, plain DFS) and shares no code with the library paths it checks.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
+
+from tdlcinv.simplicial import SimplicialComplex, relative_cohomology, union_complexes
 
 
 def dense_rank(rows):
@@ -217,6 +219,45 @@ def brute_force_spherical_subsets(system):
         for subset in combinations(range(system.n), size)
     )
     return [(subset, degrees) for subset, degrees in classified if degrees is not None]
+
+
+def brute_force_diagram_automorphisms(m):
+    """Every permutation sigma of the generators with m[sigma i][sigma j] =
+    m[i][j], found by trying all n! of them (n at most 7)."""
+    n = len(m)
+    assert n <= 7, "n! permutations are tried"
+    return [
+        sigma
+        for sigma in permutations(range(n))
+        if all(m[sigma[i]][sigma[j]] == m[i][j] for i in range(n) for j in range(i + 1, n))
+    ]
+
+
+def _relative_row(chamber, subset):
+    mirrors = [chamber.mirrors[s] for s in chamber.system.generators if s not in subset]
+    away = union_complexes(mirrors) if mirrors else SimplicialComplex.empty()
+    return tuple(sorted(subset)), tuple(relative_cohomology(chamber.complex, away))
+
+
+def every_row_table(chamber, include_empty):
+    """``(cd, is_duality, table)`` of a built Davis chamber with the relative
+    cohomology of every row ranked: the row loop of ``davis.relative_table``
+    before it ranked one row per diagram-automorphism orbit, verbatim."""
+    rows = [_relative_row(chamber, s) for s in chamber.poset.subsets if s or include_empty]
+    degrees_seen = {degree for _, dims in rows for degree, dim in enumerate(dims) if dim}
+    return max(degrees_seen, default=0), len(degrees_seen) <= 1, tuple(rows)
+
+
+def full_subcomplex_mirrors(chamber):
+    """Mirror of each generator s as ``build_chamber`` once built it: the
+    chains all of whose subsets contain s."""
+    chains = chamber.complex.all_simplices()
+    mirrors = {}
+    for s in chamber.system.generators:
+        containing = {chamber.vertex_of_subset[sub] for sub in chamber.poset.subsets if s in sub}
+        mirror_chains = [chain for chain in chains if set(chain) <= containing]
+        mirrors[s] = SimplicialComplex(mirror_chains, generate_closure=False)
+    return mirrors
 
 
 def reflection_matrices(a):

@@ -8,17 +8,26 @@ import pytest
 
 from tdlcinv.coxeter import INFINITY, CoxeterSystem, load_coxeter
 from tdlcinv.errors import ValidationError
+from tdlcinv import davis
 from tdlcinv.davis import (
     PosetTooLarge,
+    SphericalPoset,
     WFinite,
     build_chamber,
+    diagram_automorphisms,
     duality_verdict,
     kac_moody_verdict,
     relative_table,
+    subset_orbits,
 )
 
 from fuzzers import random_coxeter_system
-from oracles import brute_force_spherical_subsets
+from oracles import (
+    brute_force_diagram_automorphisms,
+    brute_force_spherical_subsets,
+    every_row_table,
+    full_subcomplex_mirrors,
+)
 
 
 def infinite_dihedral():
@@ -253,3 +262,166 @@ def test_rows_alternate_to_minus_the_reduced_euler_characteristic_of_the_nerve()
             f_vector = Counter(len(u) - 1 for u in spherical if u and u <= rest)
             minus_reduced_chi = 1 - sum((-1) ** k * f for k, f in f_vector.items())
             assert sum((-1) ** k * d for k, d in enumerate(dims)) == minus_reduced_chi
+
+
+def permuted(system, rng):
+    order = list(range(system.n))
+    rng.shuffle(order)
+    return CoxeterSystem([[system.m[i][j] for j in order] for i in order])
+
+
+def circulant(n, labels):
+    """Labels that depend only on the cyclic distance (i - j) mod n: the
+    dihedral group of order 2n acts by diagram automorphisms."""
+    return CoxeterSystem([[1 if i == j else labels[min((i - j) % n, (j - i) % n) - 1] for j in range(n)] for i in range(n)])
+
+
+def random_right_angled(rng, n):
+    return right_angled(n, [pair for pair in combinations(range(n), 2) if rng.random() < 0.4])
+
+
+def symmetric_systems():
+    """Seeded label matrices with large diagram automorphism groups."""
+    rng = random.Random(47)
+    systems = [affine_a(n) for n in range(2, 7)] + [polygon_nerve(m) for m in range(4, 8)]
+    systems += [right_angled(2 + k, [(0, 1)]) for k in range(1, 6)]
+    systems += [circulant(n, [rng.choice([2, 3, INFINITY]) for _ in range(n // 2)]) for n in range(3, 8) for _ in range(4)]
+    systems += [random_right_angled(rng, rng.randint(2, 7)) for _ in range(30)]
+    return [permuted(system, rng) for system in systems]
+
+
+def orbit_test_systems():
+    rng = random.Random(53)
+    systems = symmetric_systems()
+    systems += [random_coxeter_system(rng, rng.randint(1, 7)) for _ in range(200 - len(systems))]
+    return systems
+
+
+def brute_force_orbits(system, subsets):
+    group = brute_force_diagram_automorphisms(system.m)
+    return {frozenset(frozenset(sigma[s] for s in subset) for sigma in group) for subset in subsets}
+
+
+def orbits_from_search(poset, generators):
+    first = subset_orbits({subset: i for i, subset in enumerate(poset.subsets)}, generators)
+    classes = {}
+    for i, subset in enumerate(poset.subsets):
+        classes.setdefault(first[i], set()).add(subset)
+    return {frozenset(members) for members in classes.values()}
+
+
+def test_subset_orbits_match_brute_force_automorphisms():
+    systems = orbit_test_systems()
+    assert len(systems) >= 200
+    for system in systems:
+        poset = SphericalPoset.from_system(system)
+        generators = diagram_automorphisms(system.m, len(poset) * system.n)
+        assert orbits_from_search(poset, generators) == brute_force_orbits(system, poset.subsets)
+
+
+def closure(generators, n):
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = tuple(g[h[i]] for i in range(n))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def test_search_generates_every_diagram_automorphism():
+    for system in orbit_test_systems()[:80]:
+        generators = diagram_automorphisms(system.m, 10**6)
+        assert closure(generators, system.n) == set(brute_force_diagram_automorphisms(system.m))
+
+
+def test_search_stops_at_its_budget_with_true_automorphisms():
+    dinf_times_c2 = right_angled(7, [(0, 1)])  # 2 * 5! automorphisms
+    for budget in (0, 1, 3, 10, 30):
+        generators = diagram_automorphisms(dinf_times_c2.m, budget)
+        assert all(sorted(g) == list(range(7)) for g in generators)
+        assert set(closure(generators, 7)) <= set(brute_force_diagram_automorphisms(dinf_times_c2.m))
+    assert diagram_automorphisms(dinf_times_c2.m, 0) == []
+
+
+def test_search_on_sixteen_generators_stays_within_a_small_budget():
+    # D-infinity times C2^14 has 2 * 14! automorphisms; the search lists
+    # generators of its stabilizer chain, never the group
+    m = right_angled(16, [(0, 1)]).m
+    generators = diagram_automorphisms(m, 2000)
+    assert all(m[g[i]][g[j]] == m[i][j] for g in generators for i in range(16) for j in range(16))
+    singletons = {frozenset({s}): s for s in range(16)}
+    assert subset_orbits(singletons, generators) == [0, 0] + [2] * 14
+
+
+def table_test_systems():
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    systems = [load_coxeter(json.loads((samples / name).read_text())) for name in ("notdu.json", "affine_a2_coxeter.json")]
+    rng = random.Random(59)
+    systems += [permuted(affine_a(n), rng) for n in (2, 3, 4)]
+    systems += [polygon_nerve(m) for m in range(4, 8)]
+    systems += [right_angled(2 + k, [(0, 1)]) for k in range(1, 4)]
+    circulants = ((5, [3, 2]), (6, [2, INFINITY, 3]), (6, [INFINITY, 2, 2]), (6, [2, 2, INFINITY]), (6, [2, 3, INFINITY]))
+    systems += [permuted(circulant(n, labels), rng) for n, labels in circulants]
+    systems += [random_coxeter_system(rng, 6) for _ in range(6)]
+    return [system for system in systems if not system.is_spherical(tuple(system.generators))]
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_relative_table_matches_every_row_oracle(include_empty):
+    for system in table_test_systems():
+        chamber = build_chamber(system)
+        verdict = relative_table(chamber, include_empty=include_empty)
+        assert (verdict.cd, verdict.is_duality, verdict.table) == every_row_table(chamber, include_empty)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 4, 12])
+def test_relative_table_with_a_tiny_search_budget_matches_the_oracle(monkeypatch, budget):
+    search = davis.diagram_automorphisms
+    monkeypatch.setattr(davis, "diagram_automorphisms", lambda m, _: search(m, budget))
+    rng = random.Random(61)
+    for system in [permuted(affine_a(n), rng) for n in (2, 3, 4)] + [right_angled(5, [(0, 1)]), polygon_nerve(6)]:
+        chamber = build_chamber(system)
+        for include_empty in (True, False):
+            verdict = relative_table(chamber, include_empty=include_empty)
+            assert (verdict.cd, verdict.is_duality, verdict.table) == every_row_table(chamber, include_empty)
+
+
+def count_ranked_rows(monkeypatch, system, include_empty=True):
+    calls = []
+    rank_rows = davis.relative_cohomology
+
+    def counted(*args):
+        calls.append(args)
+        return rank_rows(*args)
+
+    monkeypatch.setattr(davis, "relative_cohomology", counted)
+    verdict = duality_verdict(system, include_empty=include_empty)
+    monkeypatch.undo()
+    return len(calls), len(verdict.table)
+
+
+def test_one_row_is_ranked_per_orbit(monkeypatch):
+    rng = random.Random(67)
+    assert count_ranked_rows(monkeypatch, permuted(affine_a(4), rng)) == (7, 31)
+    assert count_ranked_rows(monkeypatch, permuted(affine_a(3), rng)) == (5, 15)
+    assert count_ranked_rows(monkeypatch, affine_a(3), include_empty=False) == (4, 14)
+    rigid = random_coxeter_system(rng, 6)
+    while len(brute_force_diagram_automorphisms(rigid.m)) != 1 or rigid.is_spherical(tuple(rigid.generators)):
+        rigid = random_coxeter_system(rng, 6)
+    ranked, rows = count_ranked_rows(monkeypatch, rigid)
+    assert ranked == rows > 1
+    # a search that finds nothing ranks every row
+    monkeypatch.setattr(davis, "diagram_automorphisms", lambda m, budget: [])
+    assert count_ranked_rows(monkeypatch, affine_a(4)) == (31, 31)
+
+
+def test_mirrors_are_the_full_subcomplexes_on_the_subsets_containing_each_generator():
+    rng = random.Random(71)
+    systems = [permuted(affine_a(n), rng) for n in (2, 3, 4)]
+    systems += [random_coxeter_system(rng, rng.randint(2, 6)) for _ in range(12)]
+    for system in systems:
+        chamber = build_chamber(system, allow_finite=True)
+        assert chamber.mirrors == full_subcomplex_mirrors(chamber)

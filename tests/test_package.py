@@ -64,6 +64,7 @@ NOT_LOADED_BY = {
     "graph": {"tdlcinv.simplicial"},
     "rough-cayley": {"tdlcinv.simplicial"},
     "gog": {"tdlcinv.coxeter", "tdlcinv.euler", "tdlcinv.simplicial"},
+    "davis": {f"tdlcinv.{name}" for name in ("euler", "groups", "serre_graphs", "graphs_of_groups", "haar")},
 }
 
 

@@ -216,6 +216,18 @@ def test_union_complexes():
     assert (0, 1) in u and (1, 2) in u and u.f_vector() == (3, 2)
 
 
+def test_union_complexes_equals_the_complex_on_all_the_simplices():
+    rng = random.Random(73)
+    for _ in range(40):
+        parts = [random_complex(rng) for _ in range(rng.randint(0, 4))]
+        u = union_complexes(parts)
+        expected = SimplicialComplex([s for c in parts for s in c.all_simplices()], generate_closure=False)
+        assert u == expected
+        assert [u.simplices(q) for q in range(-1, u.dim + 2)] == [expected.simplices(q) for q in range(-1, u.dim + 2)]
+        assert (u.vertices, u.dim, u.f_vector()) == (expected.vertices, expected.dim, expected.f_vector())
+        assert u.validate()
+
+
 def test_line_window_growth():
     dims = ball_sphere_growth(line_window, range(1, 5))
     assert all(d == [0, 1] for d in dims)
