@@ -17,7 +17,28 @@ that single degree.  The scan includes T empty by default (the union of
 all mirrors); ``include_empty=False`` reproduces the nontrivial-subsets-only
 reading for comparison, which demotes rank-one cases to dimension zero.
 
-The poset is read off the scan ``CoxeterSystem.spherical_subsets``.
+The poset is read off the scan ``CoxeterSystem.spherical_subsets``.  Every
+subset of a spherical set is spherical, so the chamber's size follows from
+the subset sizes alone (``chamber_simplex_count``) and is capped before any
+chain is listed.
+
+Rows whose nerve is a cone are zero without any matrix.  Write K^{S-T} for
+the union of the mirrors off T and L_{S-T} for the nerve on S - T, whose
+simplices are the nonempty spherical subsets of S - T.  The mirrors of a
+set U of generators meet in the full subcomplex on the subsets containing
+U: empty unless U is spherical, and otherwise a cone with apex U.  So the
+mirrors off T form a cover of K^{S-T} by contractible sets whose every
+nonempty intersection is contractible, and its nerve is L_{S-T}; by the
+nerve lemma K^{S-T} is homotopy equivalent to L_{S-T} (Davis, *The
+Geometry and Topology of Coxeter Groups*, 2008, Ch. 8).  If L_{S-T} is a
+cone, with an apex s such that U + {s} is spherical for every spherical U
+inside S - T, then K^{S-T} is contractible.  K is contractible too, a cone
+with apex the empty set.  The long exact sequence of the pair then gives
+H^*(K, K^{S-T}) = 0 in every degree.  ``cone_rows`` finds the apexes with
+bitmasks: for each spherical U it takes ``ext[U]``, the generators s with
+U + {s} spherical, and the apexes of a row are S - T and-ed with ext[U]
+over every spherical U disjoint from T, which is one pass over the
+subsets per row.
 
 Rows are ranked once per orbit of the diagram automorphisms.  A
 permutation sigma of the generators with m[sigma i][sigma j] = m[i][j]
@@ -28,9 +49,11 @@ chain lies in the mirror of s exactly when s is in its least subset, so
 sigma carries the mirror of s onto the mirror of sigma s, and the union of
 the mirrors off T onto the union of the mirrors off sigma T.  An
 isomorphism of pairs gives isomorphic relative cohomology, so the rows of
-T and sigma T are equal (Davis, *The Geometry and Topology of Coxeter
-Groups*, 2008, Ch. 8).  ``relative_table`` therefore ranks the first subset
-of each orbit and copies its dims to the rest.
+T and sigma T are equal (Davis, 2008, Ch. 8).  sigma also carries L_{S-T}
+onto L_{S-sigma T}, so cone rows fill whole orbits.  ``relative_table``
+therefore ranks the first subset of each orbit of rows that are not cones
+and copies its dims to the rest, and runs the search only when two or more
+rows are not cones.
 
 The automorphisms come from a stabilizer-chain search
 (``diagram_automorphisms``) that returns generators and never lists the
@@ -46,6 +69,7 @@ trivially a duality group.
 from __future__ import annotations
 
 from itertools import islice
+from math import comb
 
 from .errors import ValidationError
 from .records import Record
@@ -62,6 +86,8 @@ class PosetTooLarge(ValidationError):
 
 # spherical subsets, the empty one included, a chamber may be built on
 SPHERICAL_SUBSET_CAP = 4096
+# simplices (chains of spherical subsets) a chamber may have
+CHAMBER_SIMPLEX_CAP = 100_000
 
 
 class SphericalPoset(Record):
@@ -87,15 +113,34 @@ class DavisChamber(Record):
     __slots__ = ("system", "poset", "complex", "vertex_of_subset", "mirrors")
 
 
+def chamber_simplex_count(poset):
+    """Number of chains of the poset, counted without listing any.
+
+    Every subset of a spherical set is spherical, so the chains whose
+    largest subset is V are the chains of the subsets of V that end at V.
+    Their number c(|V|) depends on |V| alone: c(k) = 1 + sum over j < k of
+    C(k, j) c(j), one term for each possible next largest subset.
+    """
+    top = max(map(len, poset.subsets), default=0)
+    chains_ending_at = []
+    for k in range(top + 1):
+        chains_ending_at.append(1 + sum(comb(k, j) * chains_ending_at[j] for j in range(k)))
+    return sum(chains_ending_at[len(subset)] for subset in poset.subsets)
+
+
 def build_chamber(system, allow_finite=False):
     """Order complex of the spherical poset together with all mirrors.
 
     Raises ``WFinite`` when the full generator set is spherical (the group
-    is finite), unless ``allow_finite`` is set for diagnostics.
+    is finite), unless ``allow_finite`` is set for diagnostics, and
+    ``PosetTooLarge`` above ``CHAMBER_SIMPLEX_CAP`` chains, counted before
+    any is listed.
     """
     if system.is_spherical(tuple(system.generators)) and not allow_finite:
         raise WFinite("the full generator set is spherical")
     poset = SphericalPoset.from_system(system)
+    if chamber_simplex_count(poset) > CHAMBER_SIMPLEX_CAP:
+        raise PosetTooLarge(f"the chamber has more than CHAMBER_SIMPLEX_CAP = {CHAMBER_SIMPLEX_CAP} simplices")
     vertex_of_subset = {subset: i for i, subset in enumerate(poset.subsets)}
 
     # chains of the inclusion order: build upward from every subset
@@ -236,24 +281,52 @@ def _relative_dims(chamber, subset):
     return tuple(relative_cohomology(chamber.complex, union_complexes(mirrors)))
 
 
+def cone_rows(subsets, n):
+    """For each spherical subset T of ``subsets`` (all of them, in any
+    order), whether the nerve L_{S-T} is a cone: whether some s in S - T
+    has U + {s} spherical for every spherical U inside S - T."""
+    masks = [sum(1 << s for s in subset) for subset in subsets]
+    spherical = set(masks)
+    ext = [sum(1 << s for s in range(n) if mask | 1 << s in spherical) for mask in masks]
+    everything = (1 << n) - 1
+    cones = []
+    for row in masks:
+        apexes = everything & ~row
+        for mask, extends in zip(masks, ext):
+            if not mask & row:
+                apexes &= extends
+        cones.append(apexes != 0)
+    return cones
+
+
 def relative_table(chamber, include_empty=True):
     """The duality verdict of a built chamber.
 
     Scans every spherical subset T (the empty set included by default) and
     tabulates the relative cohomology of (K, union of mirrors off T) in
-    the poset's order.  Only the first subset of each diagram-automorphism
-    orbit is ranked; the others copy its dims.
+    the poset's order.  A row whose nerve L_{S-T} is a cone is zero; of
+    the others only the first subset of each diagram-automorphism orbit is
+    ranked, and the rest copy its dims.
     """
     subsets = chamber.poset.subsets
-    generators = diagram_automorphisms(chamber.system.m, len(subsets) * chamber.system.n)
-    first = subset_orbits(chamber.vertex_of_subset, generators)
+    cones = cone_rows(subsets, chamber.system.n)
+    scanned = [i for i, subset in enumerate(subsets) if subset or include_empty]
+    first = range(len(subsets))
+    if sum(not cones[i] for i in scanned) > 1:
+        generators = diagram_automorphisms(chamber.system.m, len(subsets) * chamber.system.n)
+        first = subset_orbits(chamber.vertex_of_subset, generators)
+    zero = (0,) * (chamber.complex.dim + 1)
     dims_of = {}
     rows = []
-    for i, subset in enumerate(subsets):
-        if subset or include_empty:
-            if first[i] not in dims_of:
-                dims_of[first[i]] = _relative_dims(chamber, subset)
-            rows.append((tuple(sorted(subset)), dims_of[first[i]]))
+    for i in scanned:
+        subset = subsets[i]
+        if cones[i]:
+            dims = zero
+        elif first[i] in dims_of:
+            dims = dims_of[first[i]]
+        else:
+            dims = dims_of[first[i]] = _relative_dims(chamber, subset)
+        rows.append((tuple(sorted(subset)), dims))
     degrees_seen = {degree for _, dims in rows for degree, dim in enumerate(dims) if dim}
     return DualityVerdict(
         cd=max(degrees_seen, default=0),

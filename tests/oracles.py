@@ -233,6 +233,33 @@ def brute_force_diagram_automorphisms(m):
     ]
 
 
+def nerve_apexes(spherical, rest):
+    """Generators of ``rest`` lying in every maximal spherical subset inside
+    it, by a scan over sets: the apexes of the nerve L_rest."""
+    inside = [set(u) for u in spherical if set(u) <= set(rest)]
+    maximal = [u for u in inside if not any(u < v for v in inside)]
+    return set(rest).intersection(*maximal)
+
+
+def reduced_nerve_homology(spherical, rest):
+    """Reduced rational homology dims of the nerve L_rest, whose simplices are
+    the nonempty spherical subsets inside ``rest``, by dense elimination.
+    The empty simplex sits in degree -1, so entry k is degree k - 1."""
+    faces = {}
+    for u in spherical:
+        if set(u) <= set(rest):
+            faces.setdefault(len(u), []).append(tuple(sorted(u)))
+    boundaries = [(0, 1)]
+    for size in range(1, max(faces) + 1):
+        row_of = {face: i for i, face in enumerate(faces[size - 1])}
+        dense = [[0] * len(faces[size]) for _ in row_of]
+        for j, simplex in enumerate(faces[size]):
+            for i in range(size):
+                dense[row_of[simplex[:i] + simplex[i + 1 :]]][j] = (-1) ** i
+        boundaries.append(dense)
+    return dense_homology(boundaries)
+
+
 def _relative_row(chamber, subset):
     mirrors = [chamber.mirrors[s] for s in chamber.system.generators if s not in subset]
     away = union_complexes(mirrors) if mirrors else SimplicialComplex.empty()

@@ -388,6 +388,7 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         ("davis", {"size": ABOVE_GENERATOR_CAP, "m": [
             [1 if i == j else "inf" for j in range(ABOVE_GENERATOR_CAP)] for i in range(ABOVE_GENERATOR_CAP)
         ]}),
+        ("davis", {"m": [[1 if i == j else "inf" if {i, j} == {0, 1} else 2 for j in range(12)] for i in range(12)]}),
         ("davis", {"m": [[1, 3, 3], [], [3, 3, 1]]}),
         ("davis", {"m": [[1, 3, 3], [3, 1, 3], []]}),
         ("coxeter --exponents", {"cartan": [[2, -1, 0], [], [0, -1, 2]]}),
@@ -458,6 +459,7 @@ def test_invalid_input_is_exit_two(tmp_path, capsys):
         "coxeter-bott-above-generator-cap",
         "coxeter-altsum-above-generator-cap",
         "davis-above-generator-cap",
+        "davis-dinf-times-c2-10-above-chamber-simplex-cap",
         "davis-empty-middle-row",
         "davis-empty-last-row",
         "cartan-empty-middle-row",
@@ -477,13 +479,21 @@ def test_malformed_input_is_exit_two(tmp_path, capsys, monkeypatch, request, com
             raise AssertionError(f"the subset scan classified {subset}")
         return classify(self, subset)
 
-    # every refusal comes before a subset scan classifies anything
-    monkeypatch.setattr(CoxeterSystem, "degrees", whole_set_only)
+    # every refusal comes before a subset scan classifies anything, but the
+    # chamber's size, which is counted from the scan
+    counted_from_the_scan = request.node.callspec.id.endswith("chamber-simplex-cap")
+    if not counted_from_the_scan:
+        monkeypatch.setattr(CoxeterSystem, "degrees", whole_set_only)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
+    start = time.perf_counter()
     code, out, err = run(capsys, *_argv(command, path))
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ")
+    if counted_from_the_scan:
+        # 12,572,070,331 chains, refused before any is listed
+        assert "CHAMBER_SIMPLEX_CAP" in err
+        assert time.perf_counter() - start < 1
     if request.node.callspec.id.endswith("generator-cap"):
         assert "GENERATOR_CAP" in err
     if request.node.callspec.id.endswith("exponent-above-cap"):

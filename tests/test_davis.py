@@ -14,6 +14,8 @@ from tdlcinv.davis import (
     SphericalPoset,
     WFinite,
     build_chamber,
+    chamber_simplex_count,
+    cone_rows,
     diagram_automorphisms,
     duality_verdict,
     kac_moody_verdict,
@@ -27,6 +29,8 @@ from oracles import (
     brute_force_spherical_subsets,
     every_row_table,
     full_subcomplex_mirrors,
+    nerve_apexes,
+    reduced_nerve_homology,
 )
 
 
@@ -403,19 +407,144 @@ def count_ranked_rows(monkeypatch, system, include_empty=True):
     return len(calls), len(verdict.table)
 
 
+def non_cone_rows(system, include_empty=True):
+    spherical = [set(subset) for subset, _ in brute_force_spherical_subsets(system)]
+    rests = [set(system.generators) - subset for subset in spherical if subset or include_empty]
+    return sum(not nerve_apexes(spherical, rest) for rest in rests)
+
+
 def test_one_row_is_ranked_per_orbit(monkeypatch):
+    # cone rows are zero without a matrix; of the others, one row per orbit
     rng = random.Random(67)
-    assert count_ranked_rows(monkeypatch, permuted(affine_a(4), rng)) == (7, 31)
-    assert count_ranked_rows(monkeypatch, permuted(affine_a(3), rng)) == (5, 15)
-    assert count_ranked_rows(monkeypatch, affine_a(3), include_empty=False) == (4, 14)
+    assert count_ranked_rows(monkeypatch, permuted(affine_a(4), rng)) == (1, 31)
+    assert count_ranked_rows(monkeypatch, permuted(affine_a(3), rng)) == (1, 15)
+    assert count_ranked_rows(monkeypatch, affine_a(3), include_empty=False) == (0, 14)
+    assert count_ranked_rows(monkeypatch, permuted(polygon_nerve(6), rng)) == (3, 13)
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    notdu = load_coxeter(json.loads((samples / "notdu.json").read_text()))
+    assert count_ranked_rows(monkeypatch, notdu) == (4, 8)
     rigid = random_coxeter_system(rng, 6)
-    while len(brute_force_diagram_automorphisms(rigid.m)) != 1 or rigid.is_spherical(tuple(rigid.generators)):
+    while (
+        len(brute_force_diagram_automorphisms(rigid.m)) != 1
+        or rigid.is_spherical(tuple(rigid.generators))
+        or non_cone_rows(rigid) == 0
+    ):
         rigid = random_coxeter_system(rng, 6)
     ranked, rows = count_ranked_rows(monkeypatch, rigid)
-    assert ranked == rows > 1
-    # a search that finds nothing ranks every row
+    assert ranked == non_cone_rows(rigid) > 0
+    assert rows > ranked
+    # a search that finds nothing ranks every row that is not a cone
     monkeypatch.setattr(davis, "diagram_automorphisms", lambda m, budget: [])
-    assert count_ranked_rows(monkeypatch, affine_a(4)) == (31, 31)
+    assert count_ranked_rows(monkeypatch, affine_a(4)) == (non_cone_rows(affine_a(4)), 31) == (1, 31)
+    monkeypatch.setattr(davis, "diagram_automorphisms", lambda m, budget: [])
+    assert count_ranked_rows(monkeypatch, polygon_nerve(6)) == (non_cone_rows(polygon_nerve(6)), 13) == (13, 13)
+
+
+def test_the_orbit_search_runs_only_on_two_or_more_rows_that_are_not_cones(monkeypatch):
+    def refused(m, budget):
+        raise AssertionError("the orbit search ran")
+
+    monkeypatch.setattr(davis, "diagram_automorphisms", refused)
+    for system in [affine_a(n) for n in (2, 3, 4)] + [right_angled(2 + k, [(0, 1)]) for k in range(1, 5)]:
+        assert non_cone_rows(system) <= 1
+        for include_empty in (True, False):
+            duality_verdict(system, include_empty=include_empty)
+
+
+def cone_test_systems():
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    systems = [load_coxeter(json.loads((samples / name).read_text())) for name in ("notdu.json", "affine_a2_coxeter.json")]
+    systems += [affine_a(n) for n in (2, 3, 4)]
+    systems += [polygon_nerve(m) for m in range(4, 9)]
+    systems += [right_angled(6, [(0, 1), (2, 3), (4, 5)])]  # octahedral nerve
+    systems += [right_angled(2 + k, [(0, 1)]) for k in range(1, 5)]
+    systems += [right_angled(5, [(0, 2), (1, 3)] + [(v, 4) for v in range(4)])]  # 4-cycle plus a point
+    rng = random.Random(73)
+    seeded = []
+    while len(seeded) < 12:
+        system = random_coxeter_system(rng, 6)
+        if not system.is_spherical(tuple(system.generators)):
+            seeded.append(system)
+    return systems + seeded
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_cone_rows_keep_the_table_of_every_row(monkeypatch, include_empty):
+    search = davis.diagram_automorphisms
+    for system in cone_test_systems():
+        chamber = build_chamber(system)
+        expected = every_row_table(chamber, include_empty)
+        for budget in (None, 0):
+            monkeypatch.setattr(davis, "diagram_automorphisms", lambda m, full: search(m, full if budget is None else budget))
+            verdict = relative_table(chamber, include_empty=include_empty)
+            assert (verdict.cd, verdict.is_duality, verdict.table) == expected
+
+
+def test_cone_rows_are_the_rows_whose_nerve_has_an_apex():
+    rng = random.Random(79)
+    systems = cone_test_systems() + [random_coxeter_system(rng, rng.randint(1, 7)) for _ in range(100)]
+    systems += [random_right_angled(rng, rng.randint(2, 8)) for _ in range(40)]
+    marked = unmarked = 0
+    for system in systems:
+        spherical = [frozenset(subset) for subset, _ in brute_force_spherical_subsets(system)]
+        for subset, cone in zip(spherical, cone_rows(spherical, system.n)):
+            assert cone == bool(nerve_apexes(spherical, set(system.generators) - subset))
+            marked += cone
+            unmarked += not cone
+    assert marked > 1000 and unmarked > 100
+
+
+def test_every_cone_row_has_an_acyclic_nerve():
+    # L_{S-T} is homotopy equivalent to the union of the mirrors off T, so a
+    # marked row must come from a nerve with no reduced homology, checked by
+    # dense elimination, without the library's rank
+    rng = random.Random(83)
+    systems = cone_test_systems() + [random_coxeter_system(rng, rng.randint(1, 6)) for _ in range(40)]
+    checked = 0
+    for system in systems:
+        spherical = [frozenset(subset) for subset, _ in system.spherical_subsets()]
+        for subset, cone in zip(spherical, cone_rows(spherical, system.n)):
+            if cone:
+                assert set(reduced_nerve_homology(spherical, set(system.generators) - subset)) == {0}
+                checked += 1
+    assert checked > 500
+
+
+def chains_from(poset):
+    """Chains of the poset by the recursion over least elements:
+    chains(U) = 1 + the sum of chains(V) over V strictly above U."""
+    chains = {}
+    for subset in sorted(poset.subsets, key=len, reverse=True):
+        chains[subset] = 1 + sum(chains[other] for other in chains if subset < other)
+    return sum(chains.values())
+
+
+def test_chamber_simplex_count_is_the_number_of_chains():
+    rng = random.Random(89)
+    systems = cone_test_systems() + [random_coxeter_system(rng, rng.randint(1, 6)) for _ in range(30)]
+    for system in systems:
+        chamber = build_chamber(system, allow_finite=True)
+        count = chamber_simplex_count(chamber.poset)
+        assert count == sum(chamber.complex.f_vector()) == chains_from(chamber.poset)
+    # the counts of affine A5-A7 and D-infinity times C2^k, k = 5, 6, 7, 10
+    expected = {affine_a(5): 9365, affine_a(6): 94585, affine_a(7): 1091669}
+    expected.update({right_angled(2 + k, [(0, 1)]): count for k, count in ((5, 35299), (6, 359611), (7, 4177507), (10, 12572070331))})
+    for system, count in expected.items():
+        poset = SphericalPoset.from_system(system)
+        assert chamber_simplex_count(poset) == count
+        if count < 10**5:
+            assert chains_from(poset) == count
+
+
+def test_chamber_cap_refuses_before_building_the_chamber(monkeypatch):
+    system = affine_a(3)
+    count = sum(build_chamber(system).complex.f_vector())
+    monkeypatch.setattr("tdlcinv.davis.CHAMBER_SIMPLEX_CAP", count)
+    assert sum(build_chamber(system).complex.f_vector()) == count
+    monkeypatch.setattr("tdlcinv.davis.CHAMBER_SIMPLEX_CAP", count - 1)
+    monkeypatch.setattr("tdlcinv.davis.SimplicialComplex", None)  # building one would fail
+    with pytest.raises(PosetTooLarge, match=f"CHAMBER_SIMPLEX_CAP = {count - 1}"):
+        build_chamber(system)
 
 
 def test_mirrors_are_the_full_subcomplexes_on_the_subsets_containing_each_generator():
