@@ -9,10 +9,18 @@ Theory of Semigroups* I, §1.2): the elements g with (a·g)·c = a·(g·c) for
 all a and c form a submagma, so it suffices to check the identity for g in
 a generating set of the table as a magma.  A greedy generating set costs
 O(n²) to find and has at most 1 + log₂ n elements for a group, so the whole
-check is O(n²·log n) instead of the O(n³) scan over all triples.
+check is O(n²·log n) instead of the O(n³) scan over all triples.  The work
+runs a whole row at a time in C: for a generator b, ``itemgetter(*row b)``
+maps row a to (a·(b·c) for each c), which must equal row a·b, so each row
+takes at most 1 + log₂ n compositions.  The identity is the row equal to
+``0..n-1``, found by one lookup in the table; the inverse of a is the first
+b in row a with a·b the identity, once b·a is checked to be the identity
+too.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import ValidationError
 
@@ -33,11 +41,16 @@ def _checked_table(mult):
         if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
             raise NotAGroup(f"table entries must be element ids 0..{n - 1}")
     table = tuple(tuple(row) for row in mult)
+    if n == 1:
+        # the one table [[0]] is associative; itemgetter(0) would also
+        # return an entry, not a 1-tuple
+        return table
     for b in _magma_generators(table):
         row_b = table[b]
+        compose = itemgetter(*row_b)  # row a ↦ (a·(b·c) for c in 0..n-1)
         for a, row_a in enumerate(table):
             row_ab = table[row_a[b]]
-            if row_ab != tuple(map(row_a.__getitem__, row_b)):
+            if row_ab != compose(row_a):
                 c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
                 raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
     return table
@@ -84,22 +97,20 @@ class FiniteGroup:
         self.order = len(table)
         self.mult = table
         self.name = name
-        identity = None
-        for e in range(self.order):
-            if all(table[e][x] == x for x in range(self.order)):
-                identity = e
-                break
-        if identity is None:
-            raise NotAGroup("no identity element")
+        try:
+            identity = table.index(tuple(range(self.order)))
+        except ValueError:
+            raise NotAGroup("no identity element") from None
         self.identity = identity
-        inverses = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if table[a][b] == identity and table[b][a] == identity:
-                    inverses[a] = b
-                    break
-            if inverses[a] is None:
+        # In an associative table with e·x = x for all x, the first b with
+        # a·b = e also has b·a = e whenever any b has both, so one lookup and
+        # one check give the same inverse (or failure) as a search of all b.
+        inverses = []
+        for a, row in enumerate(table):
+            b = row.index(identity) if identity in row else None
+            if b is None or table[b][a] != identity:
                 raise NotAGroup(f"element {a} has no inverse")
+            inverses.append(b)
         self.inv = tuple(inverses)
 
     @classmethod

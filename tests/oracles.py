@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
+from tdlcinv.groups import NotAGroup
 from tdlcinv.simplicial import SimplicialComplex, relative_cohomology, union_complexes
 
 
@@ -562,3 +563,103 @@ def sliced_boundary(complex_, q, away, cleared):
             if i is not None:
                 entries[(i, j)] = -1 if drop % 2 else 1
     return kept, len(cols), entries
+
+
+def reference_group_table(mult):
+    """Reference for the table check of ``FiniteGroup.from_table``: the
+    per-entry loops it ran before whole-row composition, copied with its
+    greedy magma generators.
+
+    Returns ``(table, identity, inverses)``, or raises ``NotAGroup`` with
+    the message the library must give byte for byte.
+    """
+    if not isinstance(mult, (list, tuple)) or not mult:
+        raise NotAGroup("table must be a nonempty list of rows")
+    n = len(mult)
+    for row in mult:
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise NotAGroup(f"table must have {n} rows of length {n}")
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            raise NotAGroup(f"table entries must be element ids 0..{n - 1}")
+    table = tuple(tuple(row) for row in mult)
+    for b in _reference_magma_generators(table):
+        row_b = table[b]
+        for a, row_a in enumerate(table):
+            row_ab = table[row_a[b]]
+            if row_ab != tuple(map(row_a.__getitem__, row_b)):
+                c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
+    identity = None
+    for e in range(n):
+        if all(table[e][x] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NotAGroup("no identity element")
+    inverses = [None] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == identity and table[b][a] == identity:
+                inverses[a] = b
+                break
+        if inverses[a] is None:
+            raise NotAGroup(f"element {a} has no inverse")
+    return table, identity, tuple(inverses)
+
+
+def _reference_magma_generators(table):
+    """Each generator is the smallest element not yet generated; the
+    generated set is closed under products in both orders."""
+    n = len(table)
+    generated = bytearray(n)
+    count = 0
+    generators = []
+    members = []
+    for g in range(n):
+        if generated[g]:
+            continue
+        generators.append(g)
+        generated[g] = 1
+        count += 1
+        pending = [g]
+        while pending and count < n:
+            x = pending.pop()
+            members.append(x)
+            row_x = table[x]
+            for y in members:
+                for z in (row_x[y], table[y][x]):
+                    if not generated[z]:
+                        generated[z] = 1
+                        count += 1
+                        pending.append(z)
+    return generators
+
+
+def chain_sum_chi(system, q):
+    """χ(G)/μ_B of a group acting on a building of type ``system`` with
+    thickness q, by the paper's definition over the Davis realization: the
+    sum of (-1)^k / W_{T_0}(q) over every chain T_0 < ... < T_k of spherical
+    subsets, the empty one included, each chain listed by DFS.
+
+    W_T(q) is the product of 1 + q + ... + q^(d-1) over the degrees of W_T;
+    at q = 1 it is |W_T|.
+    """
+    q = Fraction(q)
+    spherical = [
+        (frozenset(subset), system.degrees(subset))
+        for size in range(system.n + 1)
+        for subset in combinations(range(system.n), size)
+    ]
+    spherical = [(subset, degrees) for subset, degrees in spherical if degrees is not None]
+
+    def poincare(degrees):
+        value = Fraction(1)
+        for d in degrees:
+            value *= sum(q ** i for i in range(d))
+        return value
+
+    def signed_chains(bottom):
+        """Σ (-1)^k over the chains bottom < T_1 < ... < T_k."""
+        return 1 - sum(signed_chains(top) for top, _ in spherical if bottom < top)
+
+    return sum(Fraction(signed_chains(subset)) / poincare(degrees) for subset, degrees in spherical)

@@ -232,22 +232,53 @@ def affine_a(n):
     )
 
 
+def linear(labels):
+    """The Coxeter system of a string diagram with the given labels."""
+    n = len(labels) + 1
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, label in enumerate(labels):
+        m[i][i + 1] = m[i + 1][i] = label
+    return CoxeterSystem(m)
+
+
+# compact hyperbolic (Lannér) simplex groups: every proper subset is
+# spherical, so the nerve is the boundary of a simplex, a sphere; the H3 and
+# H4 parabolics reach those branches of the classifier
+LANNER = {
+    "lanner-(2,3,7)": (CoxeterSystem([[1, 2, 7], [2, 1, 3], [7, 3, 1]]), 2),
+    "lanner-[5,3,5]": (linear([5, 3, 5]), 3),
+    "lanner-[5,3,3,3]": (linear([5, 3, 3, 3]), 4),
+    "lanner-[5,3,3,5]": (linear([5, 3, 3, 5]), 4),
+}
+
+
 @pytest.mark.parametrize(
     "system, cd, duality",
     [(polygon_nerve(m), 2, True) for m in range(4, 9)]
     + [(right_angled(6, [(0, 1), (2, 3), (4, 5)]), 3, True)]
     + [(right_angled(2 + k, [(0, 1)]), 1, True) for k in range(1, 4)]
-    + [(right_angled(5, [(0, 2), (1, 3)] + [(v, 4) for v in range(4)]), 2, False)],
+    + [(right_angled(5, [(0, 2), (1, 3)] + [(v, 4) for v in range(4)]), 2, False)]
+    + [(system, cd, True) for system, cd in LANNER.values()],
     ids=[f"right-angled-{m}-gon" for m in range(4, 9)]
     + ["octahedral-nerve"]
     + [f"dinf-times-c2^{k}" for k in range(1, 4)]
-    + ["square-plus-isolated-vertex"],
+    + ["square-plus-isolated-vertex"]
+    + list(LANNER),
 )
 def test_known_answer_verdicts(system, cd, duality):
-    # a right-angled W whose nerve is a flag triangulation of a sphere is a
-    # virtual Poincare duality group of the sphere's dimension plus one
+    # a W whose nerve is a triangulated sphere (flag, when right-angled) is
+    # a virtual Poincare duality group of the sphere's dimension plus one
     verdict = duality_verdict(system)
     assert (verdict.cd, verdict.is_duality) == (cd, duality)
+
+
+@pytest.mark.parametrize("system, cd", LANNER.values(), ids=list(LANNER))
+def test_lanner_table_is_one_class_in_the_top_degree(system, cd):
+    # L_{S-T} is a proper face of the simplex boundary, a cone, for every
+    # nonempty T; for T empty it is the sphere S^{cd-1}
+    rows = dict(duality_verdict(system).table)
+    assert rows.pop(()) == (0,) * cd + (1,)
+    assert all(not any(dims) for dims in rows.values())
 
 
 def test_rows_alternate_to_minus_the_reduced_euler_characteristic_of_the_nerve():

@@ -1,8 +1,12 @@
+import json
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
-from tdlcinv.coxeter import affine_preset, finite_preset
+from oracles import brute_force_spherical_subsets, chain_sum_chi
+from tdlcinv.coxeter import CoxeterSystem, affine_preset, finite_preset, load_coxeter
 from tdlcinv.euler import (
     IWAHORI_BASE,
     HaarValue,
@@ -127,3 +131,48 @@ def test_resolution_route_matches_graph_of_groups_chi():
 
 def test_render():
     assert str(HaarValue(Fraction(-1, 6), "1")) == "-1/6*mu[1]"
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+@pytest.mark.parametrize("finite, value", [("A1", Fraction(-1, 3)), ("A3", Fraction(-1, 15))])
+def test_chain_sum_equals_both_routes_in_odd_rank(finite, value):
+    pair = affine_preset(f"affine {finite}")
+    assert chain_sum_chi(pair.affine.to_coxeter(), 2) == value
+    assert chevalley_chi(finite_preset(finite), 2).coeff == value
+    assert chi_via_parahoric_sum(pair, 2).coeff == value
+
+
+@pytest.mark.parametrize(
+    "system, value",
+    [(affine_preset(f"affine {t}").affine.to_coxeter(), 0) for t in ("A1", "A2", "A3", "C2", "G2")]
+    + [
+        (load_coxeter(json.loads((SAMPLES / "notdu.json").read_text())), Fraction(-1, 2)),
+        (CoxeterSystem([[1, 2, 7], [2, 1, 3], [7, 3, 1]]), Fraction(-1, 84)),
+    ],
+    ids=["affine-A1", "affine-A2", "affine-A3", "affine-C2", "affine-G2", "notdu", "triangle-2-3-7"],
+)
+def test_chain_sum_at_q_one_is_serres_chi_of_w(system, value):
+    serre = sum(Fraction((-1) ** len(subset), prod(degrees)) for subset, degrees in brute_force_spherical_subsets(system))
+    assert serre == value
+    assert chain_sum_chi(system, 1) == value
+
+
+EVEN_RANK = [("A2", Fraction(1, 7)), ("C2", Fraction(7, 45)), ("G2", Fraction(31, 189))]
+
+
+@pytest.mark.parametrize("finite, value", EVEN_RANK)
+def test_chain_sum_in_even_rank(finite, value):
+    assert chain_sum_chi(affine_preset(f"affine {finite}").affine.to_coxeter(), 2) == value
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: in even rank both library routes give minus the chain sum",
+)
+@pytest.mark.parametrize("finite, value", EVEN_RANK)
+def test_library_chi_equals_the_chain_sum_in_even_rank(finite, value):
+    pair = affine_preset(f"affine {finite}")
+    assert chi_via_parahoric_sum(pair, 2).coeff == value
+    assert chevalley_chi(finite_preset(finite), 2).coeff == value

@@ -1,9 +1,10 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
-from oracles import is_associative
+from oracles import is_associative, reference_group_table
 from tdlcinv.errors import ValidationError
 from tdlcinv.groups import FiniteGroup, Hom, NotAGroup, group_from_spec
 
@@ -100,6 +101,126 @@ def test_from_table_checks_associativity_at_every_order():
     table[2][3] = 6
     with pytest.raises(NotAGroup, match="associativity"):
         FiniteGroup.from_table(table)
+
+
+def _outcome(check, table):
+    """What a check makes of a table: ``(mult, identity, inverses)``, or
+    the ``NotAGroup`` message."""
+    try:
+        return check(table)
+    except NotAGroup as exc:
+        return str(exc)
+
+
+def _library_check(table):
+    group = FiniteGroup.from_table(table)
+    return group.mult, group.identity, group.inv
+
+
+def _assert_parity(table):
+    assert _outcome(_library_check, table) == _outcome(reference_group_table, table)
+
+
+def _small_groups():
+    c = FiniteGroup.cyclic
+    product = FiniteGroup.direct_product
+    groups = [c(n) for n in range(1, 9)]
+    groups += [product(c(2), c(2)), FiniteGroup.symmetric(3), product(c(2), c(4)),
+               product(product(c(2), c(2)), c(2)), FiniteGroup.dihedral(4)]
+    return groups
+
+
+def _semigroups(n):
+    """Associative tables that are not groups: constant (no identity when
+    n > 1), left and right zero, max, min and multiplication mod n."""
+    return [
+        [[n - 1] * n for _ in range(n)],
+        [[a] * n for a in range(n)],
+        [list(range(n)) for _ in range(n)],
+        [[max(a, b) for b in range(n)] for a in range(n)],
+        [[min(a, b) for b in range(n)] for a in range(n)],
+        [[a * b % n for b in range(n)] for a in range(n)],
+    ]
+
+
+def _corruptions(table, rng):
+    """One changed product, each kind of bad entry at a random place, and
+    a short row."""
+    n = len(table)
+    out = []
+    a, b = rng.randrange(n), rng.randrange(n)
+    if n > 1:
+        broken = [row[:] for row in table]
+        broken[a][b] = (broken[a][b] + rng.randrange(1, n)) % n
+        out.append(broken)
+    for bad in (True, False, 1.0, -1, n):
+        broken = [row[:] for row in table]
+        broken[a][b] = bad
+        out.append(broken)
+    broken = [row[:] for row in table]
+    broken[a] = broken[a][:-1]
+    out.append(broken)
+    return out
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 1]], [[1, 1], [1, 1]],
+     [[0, True], [True, 0]], [[0, 1.0], [1, 0]], [[0, -1], [1, 0]], [[0, 2], [2, 0]],
+     [[0, 1], [1]], [[0, 1], [1, 0], [0, 1]], [[]], [], (), 5, [5], "ab", [(0,)]],
+)
+def test_from_table_matches_reference_check_on_named_tables(table):
+    _assert_parity(table)
+
+
+def test_from_table_matches_reference_check_at_orders_one_to_eight():
+    # the reference is the per-entry check that whole-row composition
+    # replaced: same group or same message, byte for byte
+    rng = random.Random(16)
+    for n in range(1, 9):
+        for _ in range(150):
+            _assert_parity([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        for table in _semigroups(n):
+            _assert_parity(table)
+            _assert_parity(_relabelled(table, rng))
+    for group in _small_groups():
+        for _ in range(4):
+            table = _relabelled(group.mult, rng)
+            _assert_parity(table)
+            for broken in _corruptions(table, rng):
+                _assert_parity(broken)
+
+
+def _order_336_table(rng):
+    group = FiniteGroup.direct_product(FiniteGroup.symmetric(4), FiniteGroup.cyclic(14))
+    return _relabelled(group.mult, rng)
+
+
+def test_from_table_matches_reference_check_at_order_336():
+    rng = random.Random(336)
+    table = _order_336_table(rng)
+    _assert_parity(table)
+    for broken in _corruptions(table, rng):
+        _assert_parity(broken)
+
+
+def _traced_peak(build, table):
+    """Peak bytes that ``build(table)`` allocates, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        build(table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_from_table_peaks_near_one_copy_of_the_table():
+    # the check composes one row at a time: a flattened or transposed copy
+    # of the table would double the peak
+    table = _order_336_table(random.Random(7))
+    copy_peak = _traced_peak(lambda t: tuple(tuple(row) for row in t), table)
+    check_peak = _traced_peak(FiniteGroup.from_table, table)
+    assert check_peak <= 1.25 * copy_peak
 
 
 def test_subgroup_and_cosets():
