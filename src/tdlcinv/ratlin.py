@@ -24,8 +24,11 @@ The boundary maps of a chain complex are ranked together by
 ``chain_ranks``, top degree first, with clearing: the columns of ``d_q``
 indexed by the pivot rows of ``d_{q+1}`` span nothing the other columns do
 not, so they are never eliminated (or, through ``SimplicialComplex``,
-never built).  ``homology_dims`` and ``simplicial.relative_cohomology``
-take their ranks from it.
+never built).  ``simplicial.relative_cohomology`` and
+``SimplicialComplex.homology``, the pair with the empty subcomplex, take
+their ranks from it on ``_boundary``.  ``homology_dims`` is the route for
+a chain complex that the caller supplies as matrices, and the only one
+that checks d∘d = 0.
 """
 
 from __future__ import annotations
@@ -366,7 +369,10 @@ def homology_dims(boundaries):
     degree 0 must be the zero map into a 0-dimensional space (a matrix with
     zero rows whose column count is dim of the degree-0 space).  The missing
     map above the top degree is taken to be zero.  Consecutive maps must
-    compose to zero; otherwise ``CompositionNonZero`` is raised.
+    compose to zero; otherwise ``CompositionNonZero`` is raised.  This is
+    the route for caller-supplied maps and the only one that checks
+    d∘d = 0; ``SimplicialComplex.homology`` ranks maps built from the
+    complex, where it holds by construction.
 
     Returns ``[dim H_q]`` with
     ``dim H_q = (cols(d_q) - rank(d_q)) - rank(d_{q+1})``, the ranks from

@@ -16,6 +16,13 @@ Conventions:
   definition by vertex extensions ``I(A)`` (all ``z`` with ``A + {z}`` a
   simplex, prepending ``z`` and sorting) lives in ``tests/oracles.py``,
   where the tests check it against this transpose.
+* ``homology`` and ``relative_cohomology`` take their ranks from one
+  path, ``ratlin.chain_ranks`` over ``_boundary``: top degree first, with
+  the cleared columns never built.  ``homology`` is the pair with the
+  empty subcomplex.  d∘d = 0 holds by construction here and is not
+  checked; ``ratlin.homology_dims``, which checks it, serves chain
+  complexes given as matrices.  ``cohomology_compact`` still ranks the
+  transposes of the full boundary maps.
 * Compactly supported cohomology of infinite complexes is only exposed
   through the ball/frontier window API (``ball_sphere_growth``): the caller
   supplies finite pairs and gets relative cohomology per radius.
@@ -23,10 +30,11 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 from .errors import ValidationError
-from .ratlin import RationalMatrix, chain_ranks, homology_dims
+from .ratlin import RationalMatrix, chain_ranks
 from .records import Record
 
 
@@ -102,21 +110,21 @@ class SimplicialComplex:
     __slots__ = ("vertices", "_graded", "_simplices")
 
     def __init__(self, simplices, generate_closure=True):
-        collected = set()
+        # the closure is generated level by level, top size first: each
+        # simplex adds only its codimension-one faces to the level below
+        by_size = defaultdict(set)
         for s in simplices:
             s = tuple(sorted(set(s)))
             if not s:
                 raise ValidationError("the empty set is not a simplex")
-            if generate_closure:
-                for k in range(1, len(s) + 1):
-                    collected.update(combinations(s, k))
-            else:
-                collected.add(s)
-        self._simplices = frozenset(collected)
-        graded = {}
-        for s in collected:
-            graded.setdefault(len(s) - 1, []).append(s)
-        self._graded = {q: tuple(sorted(v)) for q, v in graded.items()}
+            by_size[len(s)].add(s)
+        if generate_closure and by_size:
+            for n in range(max(by_size), 1, -1):
+                below = by_size[n - 1]
+                for s in by_size[n]:
+                    below.update(combinations(s, n - 1))
+        self._graded = {n - 1: tuple(sorted(by_size[n])) for n in sorted(by_size)}
+        self._simplices = frozenset().union(*by_size.values())
         self.vertices = tuple(v[0] for v in self._graded.get(0, ()))
 
     @classmethod
@@ -251,18 +259,17 @@ class SimplicialComplex:
                     entries[(i, j)] = sign
         return RationalMatrix(kept, len(cols), entries)
 
-    def chain_boundary_maps(self):
-        """Full list of boundary matrices, the degree-0 map having zero rows."""
-        maps = [RationalMatrix.zero(0, len(self.simplices(0)))]
-        for q in range(1, self.dim + 1):
-            maps.append(self.boundary_matrix(q))
-        return maps
-
     def homology(self):
-        """Dimensions of rational homology in degrees 0..dim."""
-        if self.dim < 0:
-            return []
-        return homology_dims(self.chain_boundary_maps())
+        """Dimensions of rational homology in degrees 0..dim.
+
+        Over Q, dim H_q(K) = dim H^q(K, empty), so these are the dims of
+        ``relative_cohomology`` against the empty subcomplex: the boundary
+        maps are ranked top degree first with clearing, and no full map
+        is built.  On a complex that is not closed the ``NotClosed`` raised
+        names the first missing face met in that order, the top degree
+        first; ``validate`` checks closure on its own.
+        """
+        return relative_cohomology(self, SimplicialComplex.empty())
 
     def compact_cochain_matrix(self, q):
         """Matrix of the finitely supported coboundary from degree q to q+1.

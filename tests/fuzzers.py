@@ -65,6 +65,24 @@ def random_complex(rng, max_vertices=8):
     return SimplicialComplex.from_maximal(maximal)
 
 
+def clique_skeleton(rng, n, density=0.076, top_size=4):
+    """The cliques of at most ``top_size`` vertices of a seeded random graph
+    on ``range(n)`` with ``round(density * n * n)`` edges, each clique a
+    sorted tuple, vertices first.  The default density makes 2- and
+    3-simplices whose boundary ranks need fill-in."""
+    edges = rng.sample(list(combinations(range(n), 2)), round(density * n * n))
+    adjacency = {v: set() for v in range(n)}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    level = [(v,) for v in range(n)]
+    cliques = list(level)
+    for _ in range(top_size - 1):
+        level = [s + (w,) for s in level for w in sorted(set.intersection(*(adjacency[x] for x in s))) if w > s[-1]]
+        cliques += level
+    return cliques
+
+
 def random_coxeter_system(rng, n):
     """Coxeter system on n generators, each label 2, 3 or infinity with
     weights 0.45, 0.4 and 0.15, as in the benchmark's seeded chambers."""

@@ -8,7 +8,9 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
+from tdlcinv.errors import ValidationError
 from tdlcinv.groups import NotAGroup
+from tdlcinv.ratlin import RationalMatrix, homology_dims
 from tdlcinv.simplicial import SimplicialComplex, relative_cohomology, union_complexes
 
 
@@ -132,6 +134,48 @@ def dense_homology(boundaries_dense):
         above = ranks[q + 1] if q + 1 < len(boundaries_dense) else 0
         dims.append(ncols_list[q] - ranks[q] - above)
     return dims
+
+
+def boundary_maps_homology(complex_):
+    """Reference for ``SimplicialComplex.homology``: the route before it
+    ranked with clearing straight from the complex.  Every boundary map is
+    built in full by ``boundary_matrix``, the degree-0 map with zero rows,
+    and the list goes through ``homology_dims``, which checks that
+    consecutive maps compose to zero and copies each map without its
+    cleared columns.
+    """
+    if complex_.dim < 0:
+        return []
+    maps = [RationalMatrix.zero(0, len(complex_.simplices(0)))]
+    maps += [complex_.boundary_matrix(q) for q in range(1, complex_.dim + 1)]
+    return homology_dims(maps)
+
+
+def all_subsets_closure(simplices, generate_closure=True):
+    """Reference for ``SimplicialComplex(simplices, generate_closure)``: the
+    closure taken as every nonempty subset of every canonical input simplex,
+    collected in one set and graded afterwards.
+
+    Returns a ``SimplicialComplex`` whose fields are filled from that set.
+    """
+    collected = set()
+    for s in simplices:
+        s = tuple(sorted(set(s)))
+        if not s:
+            raise ValidationError("the empty set is not a simplex")
+        if generate_closure:
+            for k in range(1, len(s) + 1):
+                collected.update(combinations(s, k))
+        else:
+            collected.add(s)
+    graded = {}
+    for s in collected:
+        graded.setdefault(len(s) - 1, []).append(s)
+    complex_ = SimplicialComplex.__new__(SimplicialComplex)
+    complex_._simplices = frozenset(collected)
+    complex_._graded = {q: tuple(sorted(v)) for q, v in graded.items()}
+    complex_.vertices = tuple(v[0] for v in complex_._graded.get(0, ()))
+    return complex_
 
 
 def is_associative(table):

@@ -8,6 +8,8 @@ import pytest
 from tdlcinv.cli import main
 from tdlcinv.coxeter import BOTT_DEGREE_CAP, GENERATOR_CAP, CoxeterSystem
 
+from fuzzers import clique_skeleton
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -128,6 +130,27 @@ def test_relative(capsys):
     code, out, _ = run(capsys, "relative", SAMPLES / "interval_pair.json", "--format", "json")
     assert code == 0
     assert json.loads(out)["dims"] == [0, 1]
+
+
+def test_clique_routes_print_equal_dims(capsys, tmp_path):
+    # a seeded 60-vertex clique 3-skeleton, relabelled and listed with every
+    # clique, as the exact-rank inputs are; the empty subcomplex makes the
+    # relative cohomology of the pair the homology of the complex
+    rng = random.Random(60)
+    labels = [f"v{i}" for i in range(60)]
+    rng.shuffle(labels)
+    complex_ = {"vertices": labels, "maximal_simplices": [[labels[v] for v in s] for s in clique_skeleton(rng, 60)]}
+    single = tmp_path / "clique_60.json"
+    single.write_text(json.dumps(complex_))
+    pair = tmp_path / "clique_60_pair.json"
+    pair.write_text(json.dumps({"complex": complex_, "subcomplex": {"vertices": [], "maximal_simplices": []}}))
+    printed = []
+    for command, path in (("homology", single), ("cohomology-c", single), ("relative", pair)):
+        code, out, _ = run(capsys, command, path, "--format", "json")
+        assert code == 0
+        printed.append(json.loads(out)["dims"])
+    assert printed[0] == printed[1] == printed[2]
+    assert len(printed[0]) == 4 and printed[0][1] > 0
 
 
 def test_graph_invariants_and_dot(capsys):

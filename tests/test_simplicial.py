@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from tdlcinv.errors import ValidationError
+from tdlcinv.ratlin import RationalMatrix
 from tdlcinv.simplicial import (
     DegreeOutOfRange,
     NotClosed,
@@ -17,7 +19,14 @@ from tdlcinv.simplicial import (
     union_complexes,
 )
 
-from oracles import dense_homology, extension_coboundary, sliced_boundary
+from fuzzers import clique_skeleton
+from oracles import (
+    all_subsets_closure,
+    boundary_maps_homology,
+    dense_homology,
+    extension_coboundary,
+    sliced_boundary,
+)
 
 TRIANGLE = SimplicialComplex.from_maximal([(0, 1), (0, 2), (1, 2)])
 SOLID_TRIANGLE = SimplicialComplex.from_maximal([(0, 1, 2)])
@@ -72,6 +81,21 @@ def test_missing_face_raises_in_absolute_and_relative_boundary():
     for away in (SimplicialComplex.empty(), SimplicialComplex([(0,)])):
         with pytest.raises(NotClosed):
             relative_cohomology(open_complex, away)
+    # faces missing in two degrees: homology ranks the top degree first, as
+    # relative_cohomology does, so it names the face missing from (0, 1, 2)
+    # where a bottom-up build of the maps named (3,) missing from (1, 3)
+    open_complex = SimplicialComplex([(0,), (1,), (0, 1, 2), (1, 3)], generate_closure=False)
+    with pytest.raises(NotClosed) as raised:
+        boundary_maps_homology(open_complex)
+    assert (raised.value.simplex, raised.value.missing_face) == ((1, 3), (3,))
+    for route in (
+        open_complex.homology,
+        lambda: relative_cohomology(open_complex, SimplicialComplex.empty()),
+        lambda: relative_cohomology(open_complex, SimplicialComplex([(0,)])),
+    ):
+        with pytest.raises(NotClosed) as raised:
+            route()
+        assert (raised.value.simplex, raised.value.missing_face) == ((0, 1, 2), (0, 1))
 
 
 def test_boundary_matches_sliced_oracle_entry_for_entry():
@@ -143,6 +167,84 @@ def test_homology_matches_dense_oracle():
         dense = [(0, len(c.simplices(0)))]
         dense += [c.boundary_matrix(q).to_dense() for q in range(1, c.dim + 1)]
         assert c.homology() == dense_homology(dense)
+
+
+def homology_inputs():
+    """Seeded clique 3-skeleta at the benchmark's density, random
+    complexes, the full simplices Delta^0 to Delta^5, the empty complex and
+    3-regular tree windows."""
+    rng = random.Random(41)
+    for n in (60, 70, 90, 120):
+        for _ in range(2):
+            yield SimplicialComplex(clique_skeleton(rng, n))
+    for _ in range(40):
+        yield random_complex(rng)
+    for n in range(1, 7):
+        yield SimplicialComplex.full_complex(range(n))
+    yield SimplicialComplex.empty()
+    build = regular_tree_window(3)
+    for radius in range(0, 7):
+        yield build(radius)[0]
+
+
+def test_homology_equals_the_boundary_maps_reference():
+    degrees = set()
+    for c in homology_inputs():
+        dims = c.homology()
+        assert dims == boundary_maps_homology(c)
+        degrees.update(q for q, d in enumerate(dims) if d)
+    assert degrees == {0, 1, 2, 3}
+
+
+def test_homology_builds_no_full_boundary_map_and_no_product(monkeypatch):
+    inputs = list(homology_inputs())
+    expected = [boundary_maps_homology(c) for c in inputs]
+
+    def refuse(*args):
+        raise AssertionError("homology must rank from _boundary with clearing")
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", refuse)
+    monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+    assert [c.homology() for c in inputs] == expected
+
+
+def closure_inputs():
+    """Seeded simplex lists with repeated vertices inside a simplex,
+    duplicate, unsorted and nested simplices, and vertices only."""
+    rng = random.Random(43)
+    yield [(0,), (1,), (2,)]
+    yield [(2, 0, 1), (1, 2), (0, 2, 1), (3, 3, 1), (1,)]
+    yield [("b", "a"), ("c", "a", "b"), ("a",)]
+    yield [(5, 4, 3, 2, 1, 0), (0, 1, 2), (7,), (7, 7)]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        simplices = [tuple(rng.choices(range(n), k=rng.randint(1, 6))) for _ in range(rng.randint(0, 8))]
+        simplices += [tuple(rng.sample(s, len(s))) for s in rng.sample(simplices, len(simplices) // 2)]
+        simplices += [s[: rng.randint(1, len(s))] for s in rng.sample(simplices, len(simplices) // 3)]
+        rng.shuffle(simplices)
+        yield simplices
+    for n in (60, 120):
+        cliques = clique_skeleton(rng, n)
+        rng.shuffle(cliques)
+        yield cliques
+
+
+def test_closure_equals_the_all_subsets_reference():
+    for simplices in closure_inputs():
+        for generate_closure in (True, False):
+            c = SimplicialComplex(simplices, generate_closure)
+            ref = all_subsets_closure(simplices, generate_closure)
+            assert c._graded == ref._graded
+            assert c.all_simplices() == ref.all_simplices()
+            assert (c.vertices, c.f_vector(), c.dim) == (ref.vertices, ref.f_vector(), ref.dim)
+
+
+def test_closure_rejects_the_empty_simplex():
+    for simplices in ([()], [(0, 1), ()], [(), (0, 1)], [(2,), [], (0,)]):
+        for generate_closure in (True, False):
+            for build in (SimplicialComplex, all_subsets_closure):
+                with pytest.raises(ValidationError, match="^the empty set is not a simplex$"):
+                    build(simplices, generate_closure)
 
 
 def test_compact_cochain_single_edge():
