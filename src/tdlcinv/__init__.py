@@ -29,6 +29,7 @@ _EXPORTS = {
     ),
     "graphs_of_groups": (
         "GraphOfFiniteGroups", "PiRepresentation", "PiWord", "aut_tree_chi", "build_gog", "load_gog",
+        "load_representation",
     ),
     "groups": ("FiniteGroup", "Hom", "group_from_spec"),
     "haar": ("HaarValue",),
@@ -39,61 +40,12 @@ _EXPORTS = {
     ),
     "simplicial": (
         "OrientedSimplex", "SignedSet", "SimplicialComplex", "ball_sphere_growth", "line_window",
-        "load_complex", "regular_tree_window", "relative_cohomology",
+        "load_complex", "load_pair", "regular_tree_window", "relative_cohomology",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AffineCartanPair",
-    "CartanMatrix",
-    "CoxeterSystem",
-    "DualityVerdict",
-    "FiniteGroup",
-    "FiniteGroupOracle",
-    "GraphOfFiniteGroups",
-    "HaarValue",
-    "Hom",
-    "IntPolynomial",
-    "IntegerLineOracle",
-    "OrientedSimplex",
-    "PiRepresentation",
-    "PiWord",
-    "Rational",
-    "RationalMatrix",
-    "ResolutionDescription",
-    "SerreGraph",
-    "SignedSet",
-    "SimplicialComplex",
-    "ValidationError",
-    "affine_preset",
-    "alternating_sum_identity",
-    "aut_tree_chi",
-    "ball_sphere_growth",
-    "bott_check",
-    "build_chamber",
-    "build_gog",
-    "chevalley_chi",
-    "chi_from_resolution",
-    "chi_via_parahoric_sum",
-    "connectivity_equals_generation",
-    "duality_verdict",
-    "enumerate_by_length",
-    "exponents",
-    "finite_preset",
-    "group_from_spec",
-    "homology_dims",
-    "hs_rank_permutation",
-    "kac_moody_verdict",
-    "line_window",
-    "load_complex",
-    "load_gog",
-    "load_graph",
-    "poincare_poly",
-    "regular_tree_window",
-    "relative_cohomology",
-    "rough_cayley_ball",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -6,19 +6,20 @@ is a human table by default or canonical JSON with ``--format json``
 (sorted keys, two-space indent, trailing newline), byte-identical across
 runs for identical inputs.
 
-Each handler imports the library modules it uses when it runs, so a
-subcommand loads only those.
+The CLI parses arguments, dispatches and writes output; each input is
+decoded by a library ``load_*`` function (``simplicial.load_complex`` and
+``load_pair``, ``graphs_of_groups.load_gog`` and ``load_representation``,
+...).  Each handler imports the library modules it uses when it runs, so
+a subcommand loads only those, and the CLI itself loads no
+``fractions``.
 
 Exit codes: 0 success, 2 invalid input (the diagnostic names the violated
 invariant), 1 internal failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import ValidationError
 
@@ -86,23 +87,7 @@ def cmd_cohomology_c(args):
 def cmd_relative(args):
     from . import simplicial
 
-    data = _read_json(args.input)
-    if not isinstance(data, dict) or "complex" not in data or "subcomplex" not in data:
-        raise ValidationError("relative input needs 'complex' and 'subcomplex'")
-    big, id_map = simplicial.load_complex(data["complex"])
-    sub_raw = data["subcomplex"]
-    if not isinstance(sub_raw, dict):
-        raise ValidationError("'subcomplex' must be an object")
-    raw_vertices = sub_raw.get("vertices", [])
-    if not isinstance(raw_vertices, list):
-        raise ValidationError("subcomplex 'vertices' must be a list of ids")
-    mapped = simplicial.map_simplices(sub_raw.get("maximal_simplices", []), id_map, "subcomplex")
-    mapped += simplicial.map_simplices([[v] for v in raw_vertices], id_map, "subcomplex")
-    sub = (
-        simplicial.SimplicialComplex.from_maximal(mapped)
-        if mapped
-        else simplicial.SimplicialComplex.empty()
-    )
+    big, sub = simplicial.load_pair(_read_json(args.input))
     dims = simplicial.relative_cohomology(big, sub)
     _emit(args, {"dims": dims}, [f"H^{q}(pair) dimension {d}" for q, d in enumerate(dims)])
     return 0
@@ -195,7 +180,7 @@ def cmd_gog(args):
         )
         ran_anything = True
     if args.cohomology is not None:
-        rep = _load_representation(_read_json(args.cohomology), gog)
+        rep = gog_mod.load_representation(_read_json(args.cohomology), gog)
         h0, h1 = gog.tree_action_cohomology(rep)
         payload["cohomology"] = {"h0": h0, "h1": h1}
         lines.append(f"tree-action cohomology h0 {h0}, h1 {h1}")
@@ -207,71 +192,6 @@ def cmd_gog(args):
         lines.extend(f"  {k}: {v}" for k, v in sorted(indices.items(), key=str))
     _emit(args, payload, lines)
     return 0
-
-
-# largest |exponent| of a decimal matrix entry such as "1e-5": Fraction
-# expands 10**exponent in full, so "1e1000000" alone takes a third of a
-# second; every float (exponents -324 to 308) stays under the cap
-RATIONAL_EXPONENT_CAP = 1000
-
-
-def _rational(value):
-    """A matrix entry: an ``int`` (not a ``bool``) as it is, or a string or
-    float read by ``Fraction(str(value))`` once its decimal exponent, if
-    any, is checked against ``RATIONAL_EXPONENT_CAP``."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (str, float)):
-        text = str(value)
-        _, marker, exponent = text.lower().partition("e")
-        try:
-            if marker and abs(int(exponent)) > RATIONAL_EXPONENT_CAP:
-                raise ValidationError(
-                    f"matrix entry {value!r} has a decimal exponent above "
-                    f"RATIONAL_EXPONENT_CAP = {RATIONAL_EXPONENT_CAP}"
-                )
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValidationError(f"matrix entry {value!r} is not a rational number")
-
-
-def _parse_rational_matrix(rows, dim, owner):
-    if not (isinstance(rows, list) and len(rows) == dim):
-        raise ValidationError(f"{owner} must be a list of {dim} rows")
-    if not all(isinstance(row, list) and len(row) == dim for row in rows):
-        raise ValidationError(f"each row of {owner} must be a list of {dim} entries")
-    return [[_rational(v) for v in row] for row in rows]
-
-
-def _load_representation(data, gog):
-    from . import graphs_of_groups as gog_mod
-
-    if not isinstance(data, dict) or "dim" not in data or "vertex_actions" not in data:
-        raise ValidationError("representation JSON needs 'dim' and 'vertex_actions'")
-    dim = data["dim"]
-    if type(dim) is not int or dim < 0:
-        raise ValidationError("representation 'dim' must be a non-negative integer")
-    actions = data["vertex_actions"]
-    raw_stable = data.get("stable_letters", {})
-    if not isinstance(actions, dict) or not isinstance(raw_stable, dict):
-        raise ValidationError("'vertex_actions' and 'stable_letters' must be objects")
-    vertex_matrices = {}
-    for v in gog.graph.vertices:
-        if v not in actions:
-            raise ValidationError(f"no action given for vertex {v!r}")
-        if not isinstance(actions[v], list):
-            raise ValidationError(f"the action of vertex {v!r} must be a list of matrices")
-        vertex_matrices[v] = [
-            _parse_rational_matrix(m, dim, f"a matrix of vertex {v!r}") for m in actions[v]
-        ]
-    stable = {}
-    for e in gog.stable_letters():
-        edge_id = e[0]
-        if edge_id not in raw_stable:
-            raise ValidationError(f"no stable-letter matrix for edge {edge_id!r}")
-        stable[e] = _parse_rational_matrix(raw_stable[edge_id], dim, f"the stable letter of {edge_id!r}")
-    return gog_mod.PiRepresentation(dim, vertex_matrices, stable)
 
 
 def cmd_coxeter(args):

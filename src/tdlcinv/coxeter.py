@@ -21,13 +21,15 @@ alternating sum over those other than the whole generating set S,
 gives the parahoric sum of an affine diagram, -R(q), and, by Steinberg's
 formula 1/W(1/t) = R(t) for an infinite W, its growth series.  No group
 element is ever enumerated.
-"""
 
-from __future__ import annotations
+Only the evaluators (``parahoric_sum``, ``alternating_sum_identity`` and
+``IntPolynomial`` at a point that is not an ``int``) import ``fractions``,
+so the length counts, exponents and series of ``coxeter --poincare``,
+``--exponents`` and ``--bott`` load neither ``fractions`` nor ``decimal``.
+"""
 
 import math
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ValidationError
@@ -294,9 +296,16 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        value = Fraction(0)
+        """The value at ``x`` by Horner's rule: an ``int`` whenever it is
+        integral, else a ``Fraction``.  An ``int`` point is evaluated in
+        ``int`` arithmetic; any other point is read by ``Fraction(x)``."""
+        if not isinstance(x, int):
+            from fractions import Fraction
+
+            x = Fraction(x)
+        value = 0
         for c in reversed(self.coeffs):
-            value = value * Fraction(x) + c
+            value = value * x + c
         return value if value.denominator != 1 else value.numerator
 
     def __mul__(self, other):
@@ -437,6 +446,8 @@ def parahoric_sum(affine, q):
     first infinite one, by size and then lexicographically, is named: its
     size is the smallest, so it extends a spherical subset.
     """
+    from fractions import Fraction
+
     n = affine.n
     parabolics = [(T, degrees) for T, degrees in affine.to_coxeter().spherical_subsets() if len(T) < n]
     if len(parabolics) < 2 ** n - 1:
@@ -458,6 +469,8 @@ def alternating_sum_identity(pair, q):
     with ptilde(q) = p(q) / prod(1 - q^{m_i}) evaluated exactly from the
     finite part.
     """
+    from fractions import Fraction
+
     q = Fraction(q)
     if q <= 1:
         raise ValidationError("the identity is evaluated at q > 1")

@@ -66,8 +66,6 @@ Finite systems short-circuit: a compact group has dimension zero and is
 trivially a duality group.
 """
 
-from __future__ import annotations
-
 from itertools import islice
 from math import comb
 

@@ -12,8 +12,6 @@ closed forms for simple groups over a local field with residue size q,
 both normalized at the chamber stabilizer label "Iw".
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .coxeter import AffineCartanPair, exponents, parahoric_sum, poincare_poly

@@ -20,8 +20,6 @@ The universal tree is materialized as balls only: vertices are the reduced
 representative words themselves, the root being the empty word.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 
@@ -35,6 +33,11 @@ from .serre_graphs import SerreGraph
 # vertices a ball of the universal tree may have; its size is predicted
 # before it is built
 BALL_VERTEX_CAP = 20_000
+
+# largest |exponent| of a decimal matrix entry such as "1e-5": Fraction
+# expands 10**exponent in full, so "1e1000000" alone takes a third of a
+# second; every float (exponents -324 to 308) stays under the cap
+RATIONAL_EXPONENT_CAP = 1000
 
 
 class NotInjective(ValidationError):
@@ -87,24 +90,18 @@ def cycle_index_ratio_products(graph, edge_index):
 
     parent = graph.bfs_parents(graph.vertices)
     tree = set(parent.values())
-
-    def path_ratio_to_root(v):
-        value = Fraction(1)
-        while parent[v] is not None:
-            e = parent[v]
-            value *= ratio(e)
-            v = graph.origin[e]
-        return value
+    # ratio product along the tree path from each vertex's root; bfs_parents
+    # lists a parent before its children, so one pass fills it
+    to_root = {}
+    for v, e in parent.items():
+        to_root[v] = Fraction(1) if e is None else to_root[graph.origin[e]] * ratio(e)
 
     products = []
     for e in graph.orientation():
         if e in tree or graph.bar[e] in tree:
             continue
         # cycle: root -> o(e), then e, then t(e) -> root through the tree
-        value = path_ratio_to_root(graph.origin[e])
-        value *= ratio(e)
-        value /= path_ratio_to_root(graph.terminus[e])
-        products.append(value)
+        products.append(to_root[graph.origin[e]] * ratio(e) / to_root[graph.terminus[e]])
     return products
 
 
@@ -673,3 +670,74 @@ def load_gog(data):
     gog = build_gog(vertices, geometric, vertex_groups, edge_groups, embeddings)
     gog.validate()
     return gog
+
+
+def _rational(value):
+    """A matrix entry: an ``int`` (not a ``bool``) as it is, or a string or
+    float read by ``Fraction(str(value))`` once its decimal exponent, if
+    any, is checked against ``RATIONAL_EXPONENT_CAP``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (str, float)):
+        text = str(value)
+        _, marker, exponent = text.lower().partition("e")
+        try:
+            if marker and abs(int(exponent)) > RATIONAL_EXPONENT_CAP:
+                raise ValidationError(
+                    f"matrix entry {value!r} has a decimal exponent above "
+                    f"RATIONAL_EXPONENT_CAP = {RATIONAL_EXPONENT_CAP}"
+                )
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"matrix entry {value!r} is not a rational number")
+
+
+def _parse_rational_matrix(rows, dim, owner):
+    if not (isinstance(rows, list) and len(rows) == dim):
+        raise ValidationError(f"{owner} must be a list of {dim} rows")
+    if not all(isinstance(row, list) and len(row) == dim for row in rows):
+        raise ValidationError(f"each row of {owner} must be a list of {dim} entries")
+    return [[_rational(v) for v in row] for row in rows]
+
+
+def load_representation(data, gog):
+    """Read the JSON form of a representation of the fundamental group of
+    ``gog``.
+
+    Shape::
+
+        {"dim": n,
+         "vertex_actions": {vertex: [matrix per group element], ...},
+         "stable_letters": {edge_id: matrix, ...}}
+
+    Every vertex of ``gog`` needs an action and every stable letter a
+    matrix: n rows of n entries, each an ``int``, a decimal number or a
+    ``"p/q"`` string.  The relations are checked later, by
+    ``PiRepresentation.validate``.
+    """
+    if not isinstance(data, dict) or "dim" not in data or "vertex_actions" not in data:
+        raise ValidationError("representation JSON needs 'dim' and 'vertex_actions'")
+    dim = data["dim"]
+    if type(dim) is not int or dim < 0:
+        raise ValidationError("representation 'dim' must be a non-negative integer")
+    actions = data["vertex_actions"]
+    raw_stable = data.get("stable_letters", {})
+    if not isinstance(actions, dict) or not isinstance(raw_stable, dict):
+        raise ValidationError("'vertex_actions' and 'stable_letters' must be objects")
+    vertex_matrices = {}
+    for v in gog.graph.vertices:
+        if v not in actions:
+            raise ValidationError(f"no action given for vertex {v!r}")
+        if not isinstance(actions[v], list):
+            raise ValidationError(f"the action of vertex {v!r} must be a list of matrices")
+        vertex_matrices[v] = [
+            _parse_rational_matrix(m, dim, f"a matrix of vertex {v!r}") for m in actions[v]
+        ]
+    stable = {}
+    for e in gog.stable_letters():
+        edge_id = e[0]
+        if edge_id not in raw_stable:
+            raise ValidationError(f"no stable-letter matrix for edge {edge_id!r}")
+        stable[e] = _parse_rational_matrix(raw_stable[edge_id], dim, f"the stable letter of {edge_id!r}")
+    return PiRepresentation(dim, vertex_matrices, stable)

@@ -18,8 +18,6 @@ b in row a with a·b the identity, once b·a is checked to be the identity
 too.
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 
 from .errors import ValidationError

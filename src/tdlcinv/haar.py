@@ -12,8 +12,6 @@ graph-of-groups code can value its Euler characteristics without loading
 them; ``euler`` re-exports every name defined here.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import ValidationError

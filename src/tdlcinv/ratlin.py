@@ -31,8 +31,6 @@ a chain complex that the caller supplies as matrices, and the only one
 that checks d∘d = 0.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

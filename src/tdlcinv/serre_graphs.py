@@ -6,8 +6,6 @@ the lexicographically smaller id in each orbit, so every basis below is
 deterministic.  Vertex and edge bases follow stored (construction) order.
 """
 
-from __future__ import annotations
-
 from .errors import ValidationError
 from .ratlin import RationalMatrix
 

@@ -28,8 +28,6 @@ Conventions:
   supplies finite pairs and gets relative cohomology per radius.
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
 from itertools import combinations
 
@@ -422,3 +420,27 @@ def load_complex(data):
     simplices = map_simplices(data.get("maximal_simplices", []), id_map, "complex")
     simplices.extend((i,) for i in id_map.values())
     return SimplicialComplex.from_maximal(simplices), id_map
+
+
+def load_pair(data):
+    """Build a complex and a subcomplex from the JSON form of a pair.
+
+    Expected shape: ``{"complex": {...}, "subcomplex": {"vertices": [...],
+    "maximal_simplices": [[...], ...]}}``, the complex as for
+    ``load_complex`` and the subcomplex over its vertex ids; the
+    subcomplex's downward closure is generated too.  Returns
+    ``(complex, subcomplex)``.
+    """
+    if not isinstance(data, dict) or "complex" not in data or "subcomplex" not in data:
+        raise ValidationError("relative input needs 'complex' and 'subcomplex'")
+    big, id_map = load_complex(data["complex"])
+    sub_raw = data["subcomplex"]
+    if not isinstance(sub_raw, dict):
+        raise ValidationError("'subcomplex' must be an object")
+    raw_vertices = sub_raw.get("vertices", [])
+    if not isinstance(raw_vertices, list):
+        raise ValidationError("subcomplex 'vertices' must be a list of ids")
+    mapped = map_simplices(sub_raw.get("maximal_simplices", []), id_map, "subcomplex")
+    mapped += map_simplices([[v] for v in raw_vertices], id_map, "subcomplex")
+    sub = SimplicialComplex.from_maximal(mapped) if mapped else SimplicialComplex.empty()
+    return big, sub

@@ -524,6 +524,46 @@ def trace_euler_characteristic(gog, representation):
     return total
 
 
+def fraction_polynomial_value(coeffs, x):
+    """Reference for ``IntPolynomial.__call__``: Horner's rule in
+    ``Fraction`` arithmetic at ``Fraction(x)``, returned as an ``int`` when
+    the value is integral."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * Fraction(x) + c
+    return value if value.denominator != 1 else value.numerator
+
+
+def walked_cycle_index_ratio_products(graph, edge_index):
+    """Reference for ``graphs_of_groups.cycle_index_ratio_products``: the
+    same spanning forest and cycle basis, each non-tree edge's cycle product
+    taken by walking the tree from both of its ends up to the root."""
+
+    def ratio(e):
+        return Fraction(edge_index[e]) / Fraction(edge_index[graph.bar[e]])
+
+    parent = graph.bfs_parents(graph.vertices)
+    tree = set(parent.values())
+
+    def path_ratio_to_root(v):
+        value = Fraction(1)
+        while parent[v] is not None:
+            e = parent[v]
+            value *= ratio(e)
+            v = graph.origin[e]
+        return value
+
+    products = []
+    for e in graph.orientation():
+        if e in tree or graph.bar[e] in tree:
+            continue
+        value = path_ratio_to_root(graph.origin[e])
+        value *= ratio(e)
+        value /= path_ratio_to_root(graph.terminus[e])
+        products.append(value)
+    return products
+
+
 def reference_pivots(matrix):
     """Reference for ``RationalMatrix._pivots``: the same fraction-free
     elimination with every row, integer or not, scaled by the lcm of its

@@ -9,6 +9,7 @@ from tdlcinv.coxeter import (
     AffineCartanPair,
     CartanMatrix,
     CoxeterSystem,
+    IntPolynomial,
     NotCrystallographic,
     affine_preset,
     alternating_sum_identity,
@@ -28,6 +29,7 @@ from tdlcinv.errors import ValidationError
 
 from oracles import (
     brute_force_spherical_subsets,
+    fraction_polynomial_value,
     mat_mul,
     reflection_layers,
     reflection_matrices,
@@ -325,6 +327,25 @@ def test_poincare_polynomials():
     assert poincare_poly(finite_preset("A1")).coeffs == (1, 1)
     assert poincare_poly(finite_preset("A2")).coeffs == (1, 2, 2, 1)
     assert poincare_poly(finite_preset("B2")).coeffs == (1, 2, 2, 2, 1)
+
+
+POLYNOMIALS = ([], [0], [5], [1, 1], [-3, 0, 2], [1, 4, 9, 16, 25], [0, 0, -7, 1, 0, 3])
+POINTS = (0, 1, -1, 2, -5, 13, 10**20, Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-7, 3))
+
+
+@pytest.mark.parametrize("coeffs", POLYNOMIALS)
+def test_polynomial_value_matches_the_fraction_route(coeffs):
+    poly = IntPolynomial(coeffs)
+    for x in POINTS:
+        value = poly(x)
+        expected = fraction_polynomial_value(coeffs, x)
+        assert value == expected
+        assert type(value) is type(expected), (coeffs, x)
+    rng = random.Random(len(coeffs))
+    for _ in range(20):
+        x = rng.randint(-10**6, 10**6)
+        assert poly(x) == fraction_polynomial_value(coeffs, x)
+        assert type(poly(x)) is int
 
 
 def test_poincare_at_one_is_group_order_and_palindromic():

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,3 +21,13 @@ def test_readme_names_every_cap_constant():
     assert caps, "no *_CAP constant found"
     missing = [f"{module}.{name}" for module, name in caps if f"`{name}`" not in readme]
     assert not missing, f"README.md does not name {missing}"
+
+
+def test_readme_caps_entries_name_the_defining_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    wrong = [
+        f"{module}.{name}"
+        for module, name in module_level_caps()
+        if not re.search(rf"^\* `{name}` = [0-9,]+ \(`tdlcinv\.{module}`\)", readme, re.MULTILINE)
+    ]
+    assert not wrong, f"README.md's Caps entries name the wrong module for {wrong}"

@@ -32,7 +32,7 @@ from fuzzers import (
     regular_c12_gog,
     trivial_hom,
 )
-from oracles import dense_tree_action_cohomology, trace_euler_characteristic
+from oracles import dense_tree_action_cohomology, trace_euler_characteristic, walked_cycle_index_ratio_products
 
 
 def edge_of_groups(group_u, group_w, edge_group=None, embed_to=None, embed_from=None):
@@ -115,6 +115,21 @@ def test_cycle_ratio_products_detect_ascending_datum():
     assert products == [Fraction(2)]
     balanced = cycle_index_ratio_products(graph, {0: 2, 1: 2})
     assert balanced == [Fraction(1)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cycle_ratio_products_match_the_walk_to_the_root(seed):
+    # arbitrary positive indices, so most products are not 1; loops, multiple
+    # edges and several components included
+    rng = random.Random(seed)
+    vertices = list(range(rng.randint(1, 12)))
+    pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 20))]
+    graph = SerreGraph.from_geometric(vertices, pairs)
+    edge_index = {e: rng.randint(1, 30) for e in graph.edges}
+    products = cycle_index_ratio_products(graph, edge_index)
+    expected = walked_cycle_index_ratio_products(graph, edge_index)
+    assert products == expected
+    assert all(type(p) is Fraction for p in products)
 
 
 def test_euler_characteristic_values():

@@ -6,6 +6,7 @@ footprint tests run in fresh interpreters, because this test process has
 already imported every module.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -32,9 +33,37 @@ LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.split('.
 
 
 def test_importing_the_cli_loads_no_library_module():
-    result = _python("-c", "import tdlcinv.cli; " + LOADED)
+    result = _python("-c", "import tdlcinv.cli; " + LOADED + "; print('fractions' in sys.modules)")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["tdlcinv", "tdlcinv.cli", "tdlcinv.errors"]
+    assert result.stdout.split() == ["tdlcinv", "tdlcinv.cli", "tdlcinv.errors", "False"]
+
+
+def test_no_library_module_imports_future():
+    # read from the source, since site may import __future__ on its own
+    for path in sorted((SRC / "tdlcinv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        futures = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
+        assert not futures, f"{path.name} imports __future__"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coxeter", "A3.json", "--poincare", "--exponents"],
+        ["coxeter", "--preset", "affine A2", "--bott", "4"],
+    ],
+)
+def test_coxeter_series_load_no_fractions(argv, tmp_path):
+    # only the evaluators (--altsum, chevalley) need Fraction
+    cartan = tmp_path / "A3.json"
+    cartan.write_text('{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}', encoding="utf-8")
+    argv = [str(cartan) if arg == "A3.json" else arg for arg in argv]
+    code = f"import sys; from tdlcinv.cli import main; code = main({argv!r}); print(code, *sorted(sys.modules))"
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    exit_code, *loaded = result.stdout.splitlines()[-1].split()
+    assert exit_code == "0"
+    assert not {"fractions", "decimal"} & set(loaded)
 
 
 def test_chevalley_loads_only_what_it_uses():
@@ -85,6 +114,30 @@ def test_running_the_cli_module_writes_nothing_to_stderr():
     result = _python("-W", "error", "-m", "tdlcinv.cli", "chevalley", "--type", "A2", "--q", "2")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "chi = -1/7*mu[Iw]\n"
+
+
+# the names exported before the package built __all__ from its export table
+EXPORTED = (
+    "AffineCartanPair", "CartanMatrix", "CoxeterSystem", "DualityVerdict", "FiniteGroup",
+    "FiniteGroupOracle", "GraphOfFiniteGroups", "HaarValue", "Hom", "IntPolynomial",
+    "IntegerLineOracle", "OrientedSimplex", "PiRepresentation", "PiWord", "Rational",
+    "RationalMatrix", "ResolutionDescription", "SerreGraph", "SignedSet", "SimplicialComplex",
+    "ValidationError", "affine_preset", "alternating_sum_identity", "aut_tree_chi",
+    "ball_sphere_growth", "bott_check", "build_chamber", "build_gog", "chevalley_chi",
+    "chi_from_resolution", "chi_via_parahoric_sum", "connectivity_equals_generation",
+    "duality_verdict", "enumerate_by_length", "exponents", "finite_preset", "group_from_spec",
+    "homology_dims", "hs_rank_permutation", "kac_moody_verdict", "line_window", "load_complex",
+    "load_gog", "load_graph", "poincare_poly", "regular_tree_window", "relative_cohomology",
+    "rough_cayley_ball",
+)
+
+
+def test_all_is_the_sorted_export_table():
+    assert len(EXPORTED) == 48
+    assert tdlcinv.__all__ == sorted(tdlcinv._MODULE_OF)
+    assert set(tdlcinv.__all__) == set(EXPORTED) | {"load_pair", "load_representation"}
+    assert tdlcinv._MODULE_OF["load_pair"] == "simplicial"
+    assert tdlcinv._MODULE_OF["load_representation"] == "graphs_of_groups"
 
 
 @pytest.mark.parametrize("name", tdlcinv.__all__)
