@@ -116,7 +116,7 @@ def test_running_the_cli_module_writes_nothing_to_stderr():
     assert result.stdout == "chi = -1/7*mu[Iw]\n"
 
 
-# the names exported before the package built __all__ from its export table
+# frozen here, so that a name dropped from the export table fails a test
 EXPORTED = (
     "AffineCartanPair", "CartanMatrix", "CoxeterSystem", "DualityVerdict", "FiniteGroup",
     "FiniteGroupOracle", "GraphOfFiniteGroups", "HaarValue", "Hom", "IntPolynomial",
