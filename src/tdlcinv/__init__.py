@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coxeter": (
-        "AffineCartanPair", "CartanMatrix", "CoxeterSystem", "IntPolynomial", "affine_preset",
+        "AffineCartanPair", "CartanMatrix", "CoxeterSystem", "affine_preset",
         "alternating_sum_identity", "bott_check", "enumerate_by_length", "exponents",
         "finite_preset", "poincare_poly",
     ),
@@ -33,6 +33,7 @@ _EXPORTS = {
     ),
     "groups": ("FiniteGroup", "Hom", "group_from_spec"),
     "haar": ("HaarValue",),
+    "polynomial": ("IntPolynomial",),
     "ratlin": ("Rational", "RationalMatrix", "homology_dims"),
     "serre_graphs": (
         "FiniteGroupOracle", "IntegerLineOracle", "SerreGraph", "connectivity_equals_generation",

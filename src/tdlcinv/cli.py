@@ -6,12 +6,12 @@ is a human table by default or canonical JSON with ``--format json``
 (sorted keys, two-space indent, trailing newline), byte-identical across
 runs for identical inputs.
 
-The CLI parses arguments, dispatches and writes output; each input is
-decoded by a library ``load_*`` function (``simplicial.load_complex`` and
-``load_pair``, ``graphs_of_groups.load_gog`` and ``load_representation``,
-...).  Each handler imports the library modules it uses when it runs, so
-a subcommand loads only those, and the CLI itself loads no
-``fractions``.
+The CLI parses arguments, dispatches and writes output.  Each input but
+rough-cayley's is decoded and checked once, by a library ``load_*``
+function (``graphs_of_groups.load_gog``, ``coxeter.load_weyl_input``, ...)
+or ``coxeter.preset``, and not checked again here.  Each handler imports
+the library modules it uses when it runs, so a subcommand loads only
+those, and the CLI itself loads no ``fractions``.
 
 Exit codes: 0 success, 2 invalid input (the diagnostic names the violated
 invariant), 1 internal failure.
@@ -48,18 +48,6 @@ def _emit(args, payload, lines):
             sys.stdout.write(line + "\n")
 
 
-def _coxeter_from_file(path):
-    from . import coxeter as cox
-
-    data = _read_json(path)
-    if isinstance(data, dict):
-        if "m" in data:
-            return cox.load_coxeter(data)
-        if "cartan" in data:
-            return cox.load_cartan(data).to_coxeter()
-    raise ValidationError("expected an 'm' (Coxeter) or 'cartan' matrix")
-
-
 # -- subcommand handlers --------------------------------------------------------
 
 
@@ -67,7 +55,6 @@ def cmd_homology(args):
     from . import simplicial
 
     complex_, _ = simplicial.load_complex(_read_json(args.input))
-    complex_.validate()
     dims = complex_.homology()
     payload = {"dims": dims}
     _emit(args, payload, [f"H_{q} dimension {d}" for q, d in enumerate(dims)])
@@ -78,7 +65,6 @@ def cmd_cohomology_c(args):
     from . import simplicial
 
     complex_, _ = simplicial.load_complex(_read_json(args.input))
-    complex_.validate()
     dims = complex_.cohomology_compact()
     _emit(args, {"dims": dims}, [f"Hc^{q} dimension {d}" for q, d in enumerate(dims)])
     return 0
@@ -186,7 +172,7 @@ def cmd_gog(args):
         lines.append(f"tree-action cohomology h0 {h0}, h1 {h1}")
         ran_anything = True
     if not ran_anything:
-        indices = gog.validate()
+        indices = gog.indices
         payload["indices"] = {str(k): v for k, v in sorted(indices.items(), key=str)}
         lines.append("valid graph of groups; edge image indices:")
         lines.extend(f"  {k}: {v}" for k, v in sorted(indices.items(), key=str))
@@ -197,22 +183,7 @@ def cmd_gog(args):
 def cmd_coxeter(args):
     from . import coxeter as cox
 
-    if args.preset:
-        if args.preset in cox.AFFINE_CARTAN:
-            pair = cox.affine_preset(args.preset)
-            finite, affine = pair.finite, pair.affine
-        else:
-            finite, affine, pair = cox.finite_preset(args.preset), None, None
-    else:
-        data = _read_json(args.input)
-        if isinstance(data, dict) and ("finite" in data or "affine" in data):
-            if "finite" not in data:
-                raise ValidationError("an 'affine' matrix needs its 'finite' part")
-            finite = cox.load_cartan(data["finite"])
-            affine = cox.load_cartan(data["affine"]) if "affine" in data else None
-            pair = cox.AffineCartanPair(finite, affine) if affine is not None else None
-        else:
-            finite, affine, pair = cox.load_cartan(data), None, None
+    finite, pair = cox.preset(args.preset) if args.preset else cox.load_weyl_input(_read_json(args.input))
     payload = {}
     lines = []
     if args.poincare or args.exponents:
@@ -224,9 +195,9 @@ def cmd_coxeter(args):
         payload["exponents"] = exps
         lines.append("exponents " + " ".join(str(m) for m in exps))
     if args.bott is not None:
-        if affine is None:
+        if pair is None:
             raise ValidationError("--bott needs an affine preset or an 'affine' matrix")
-        verdict = cox.bott_check(finite, affine, args.bott)
+        verdict = cox.bott_check(finite, pair.affine, args.bott)
         payload["bott"] = verdict
         lines.append(f"series identity to degree {args.bott}: {'holds' if verdict else 'FAILS'}")
     if args.altsum is not None:
@@ -242,9 +213,10 @@ def cmd_coxeter(args):
 
 
 def cmd_davis(args):
+    from . import coxeter as cox
     from . import davis
 
-    system = _coxeter_from_file(args.input)
+    system = cox.load_system(_read_json(args.input))
     verdict = davis.duality_verdict(system, include_empty=not args.exclude_empty_t)
     payload = verdict.to_json()
     lines = [
@@ -273,10 +245,7 @@ def cmd_chevalley(args):
     }
     lines = [f"chi = {value}"]
     if args.via_parahorics:
-        pair = next((p for p in map(cox.affine_preset, cox.AFFINE_CARTAN) if p.finite.a == finite.a), None)
-        if pair is None:
-            raise ValidationError(f"no affine preset paired with type {args.type!r}")
-        other = euler.chi_via_parahoric_sum(pair, args.q)
+        other = euler.chi_via_parahoric_sum(cox.affine_pair_of(finite, args.type), args.q)
         payload["parahoric_coefficient"] = str(other.coeff)
         payload["paths_agree"] = other == value
         lines.append(f"parahoric sum {other} ({'agrees' if other == value else 'DISAGREES'})")

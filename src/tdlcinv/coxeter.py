@@ -23,8 +23,8 @@ formula 1/W(1/t) = R(t) for an infinite W, its growth series.  No group
 element is ever enumerated.
 
 Only the evaluators (``parahoric_sum``, ``alternating_sum_identity`` and
-``IntPolynomial`` at a point that is not an ``int``) import ``fractions``,
-so the length counts, exponents and series of ``coxeter --poincare``,
+``IntPolynomial`` at a non-``int`` point) import ``fractions``, so the
+length counts, exponents and series of ``coxeter --poincare``,
 ``--exponents`` and ``--bott`` load neither ``fractions`` nor ``decimal``.
 """
 
@@ -33,6 +33,7 @@ from collections import Counter
 from itertools import combinations
 
 from .errors import ValidationError
+from .polynomial import IntPolynomial
 from .records import Record
 
 INFINITY = math.inf
@@ -269,59 +270,24 @@ def load_cartan(data):
     return CartanMatrix(data)
 
 
-class IntPolynomial:
-    """Polynomial with integer coefficients, trailing zeros trimmed."""
+def load_system(data):
+    """A Coxeter system from an 'm' (Coxeter) or a 'cartan' matrix."""
+    if isinstance(data, dict):
+        if "m" in data:
+            return load_coxeter(data)
+        if "cartan" in data:
+            return load_cartan(data).to_coxeter()
+    raise ValidationError("expected an 'm' (Coxeter) or 'cartan' matrix")
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def t_analogue(cls, d):
-        """1 + t + ... + t^(d-1)."""
-        if d < 1:
-            raise ValueError("t-analogue needs d >= 1")
-        return cls([1] * d)
-
-    def __eq__(self, other):
-        if isinstance(other, IntPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __call__(self, x):
-        """The value at ``x`` by Horner's rule: an ``int`` whenever it is
-        integral, else a ``Fraction``.  An ``int`` point is evaluated in
-        ``int`` arithmetic; any other point is read by ``Fraction(x)``."""
-        if not isinstance(x, int):
-            from fractions import Fraction
-
-            x = Fraction(x)
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value if value.denominator != 1 else value.numerator
-
-    def __mul__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+def load_weyl_input(data):
+    """``(finite, pair or None)`` from a Cartan matrix or a 'finite'/'affine' object."""
+    if not (isinstance(data, dict) and ("finite" in data or "affine" in data)):
+        return load_cartan(data), None
+    if "finite" not in data:
+        raise ValidationError("an 'affine' matrix needs its 'finite' part")
+    finite = load_cartan(data["finite"])
+    return finite, AffineCartanPair(finite, load_cartan(data["affine"])) if "affine" in data else None
 
 
 def poincare_from_degrees(degrees):
@@ -535,3 +501,19 @@ def affine_preset(name):
     except KeyError:
         raise ValidationError(f"unknown affine preset {name!r}")
     return AffineCartanPair(CartanMatrix([row[1:] for row in affine.a[1:]]), affine)
+
+
+def preset(name):
+    """``(finite, pair or None)`` for an affine or a finite preset name."""
+    if name in AFFINE_CARTAN:
+        pair = affine_preset(name)
+        return pair.finite, pair
+    return finite_preset(name), None
+
+
+def affine_pair_of(finite, name):
+    """The affine preset whose finite part is ``finite``, of type ``name``."""
+    for pair in map(affine_preset, AFFINE_CARTAN):
+        if pair.finite.a == finite.a:
+            return pair
+    raise ValidationError(f"no affine preset paired with type {name!r}")

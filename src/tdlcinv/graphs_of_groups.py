@@ -106,7 +106,8 @@ def cycle_index_ratio_products(graph, edge_index):
 
 
 class GraphOfFiniteGroups:
-    """Finite connected graph decorated with finite groups and embeddings."""
+    """Finite connected graph decorated with finite groups and embeddings,
+    checked once when built; ``indices`` holds the result of ``validate``."""
 
     def __init__(self, graph, vertex_groups, edge_groups, embeddings):
         self.graph = graph
@@ -125,19 +126,17 @@ class GraphOfFiniteGroups:
             if e not in self.embeddings:
                 raise ValidationError(f"no embedding for directed edge {e!r}")
         self._base_vertex, self._tree_parent = self._spanning_tree()
+        self.indices = self.validate()
         self._transversals = {}
-        self._trivial_rep = {}
         self._sections = {}
         self._images = {}
         self._image_sets = {}
         for e in graph.edges:
             incoming = self.embeddings[self.graph.bar[e]]  # edge group into o(e)
             image = tuple(sorted(incoming.image_set()))
-            group_at_origin = self.vertex_groups[self.graph.origin[e]]
             self._images[e] = image
             self._image_sets[e] = frozenset(image)
-            self._transversals[e] = group_at_origin.left_coset_reps(image)
-            self._trivial_rep[e] = group_at_origin.left_coset(group_at_origin.identity, image)[0]
+            self._transversals[e] = self.vertex_groups[self.graph.origin[e]].left_coset_reps(image)
             self._sections[e] = incoming.section()
 
     # -- deterministic subtree and orientation -------------------------------------
@@ -164,8 +163,8 @@ class GraphOfFiniteGroups:
     # -- validation -------------------------------------------------------------------
 
     def validate(self):
-        """Check embeddings are injective homomorphisms and the graph is
-        connected; returns the index of each directed-edge image."""
+        """Check embeddings are injective homomorphisms into the terminus
+        groups; return each directed-edge image's index.  Run by ``__init__``."""
         indices = {}
         for e in self.graph.edges:
             hom = self.embeddings[e]
@@ -189,8 +188,7 @@ class GraphOfFiniteGroups:
         each directed index is a quotient of group orders, so the products
         always telescope to 1; the check still evaluates them exactly.
         """
-        indices = self.validate()
-        return all(p == 1 for p in cycle_index_ratio_products(self.graph, indices))
+        return all(p == 1 for p in cycle_index_ratio_products(self.graph, self.indices))
 
     def euler_characteristic(self):
         """Alternating sum of reciprocal group orders over vertices and
@@ -257,7 +255,6 @@ class GraphOfFiniteGroups:
         A negative radius, or a ball of more than ``BALL_VERTEX_CAP``
         vertices, is refused before anything is built.
         """
-        self.validate()
         if radius < 0:
             raise ValidationError(f"the ball radius {radius} is negative")
         if self._ball_size(radius) > BALL_VERTEX_CAP:
@@ -278,7 +275,7 @@ class GraphOfFiniteGroups:
                         if (
                             last is not None
                             and e == self.graph.bar[last[0]]
-                            and rep == self._trivial_rep[e]
+                            and rep == self._images[e][0]
                         ):
                             continue  # the parent edge
                         child = word + ((e, rep),)
@@ -530,8 +527,8 @@ class PiRepresentation:
         return self._stable[e]
 
     def validate(self, gog):
-        """Check the representation against ``gog``, after validating
-        ``gog`` itself, and return True; raise a ``ValidationError`` naming
+        """Check the representation against ``gog``, which was checked when
+        it was built, and return True; raise a ``ValidationError`` naming
         the first violation.
 
         With S = ``FiniteGroup.generators()``, a vertex table needs only
@@ -543,7 +540,6 @@ class PiRepresentation:
         invertible stable letter is an automorphism), so it holds on the
         edge group once it holds on the edge group's generators.
         """
-        gog.validate()
         for v in gog.graph.vertices:
             group = gog.vertex_groups[v]
             mats = self._vertex.get(v)
@@ -621,7 +617,7 @@ def load_gog(data):
                     "embed_from": {"gens": [...], "images": [...]}}]}
 
     Group specs are preset names or explicit tables; embeddings list
-    generator/image pairs, extended multiplicatively and fully re-checked.
+    generator/image pairs, extended multiplicatively and checked once built.
     """
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValidationError("graph-of-groups JSON needs 'vertices' and 'edges'")
@@ -667,9 +663,7 @@ def load_gog(data):
 
         embeddings[(edge_id, "+")] = hom_from(record.get("embed_to"), vertex_groups[v])
         embeddings[(edge_id, "-")] = hom_from(record.get("embed_from"), vertex_groups[u])
-    gog = build_gog(vertices, geometric, vertex_groups, edge_groups, embeddings)
-    gog.validate()
-    return gog
+    return build_gog(vertices, geometric, vertex_groups, edge_groups, embeddings)
 
 
 def _rational(value):

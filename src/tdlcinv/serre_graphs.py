@@ -275,36 +275,28 @@ def rough_cayley_ball(oracle, generators, radius):
     element g in the coset (the oracle enumerates the targets, one per
     right coset of the double coset OsO) and are deduplicated as vertex
     pairs: the graph is combinatorial.  The generator set must be
-    symmetric and disjoint from the subgroup.
+    symmetric and disjoint from the subgroup.  One breadth-first pass
+    records each coset's edges as it expands the coset, by which time every
+    in-ball neighbour is reached.
     """
     if radius < 0:
         raise ValidationError(f"the ball radius {radius} is negative")
     gens = _check_generators(oracle, generators)
     base = oracle.coset_canon(oracle.identity)
     order = [base]
-    seen = {base}
-    frontier = [base]
-    for _ in range(radius):
-        if not frontier:
-            break
-        next_frontier = []
-        for g in frontier:
-            for s in gens:
-                for h in sorted(oracle.step_targets(g, s)):
-                    if h not in seen:
-                        seen.add(h)
-                        order.append(h)
-                        next_frontier.append(h)
-        frontier = next_frontier
-    ranked = {v: i for i, v in enumerate(order)}
+    rank = {base: 0}
+    level = [0]
     pairs = set()
-    for g in order:
+    for i, g in enumerate(order):  # order grows while it is read
         for s in gens:
-            for h in oracle.step_targets(g, s):
-                if h in seen:
-                    pairs.add((g, h) if ranked[g] <= ranked[h] else (h, g))
-    sorted_pairs = sorted(pairs, key=lambda p: (ranked[p[0]], ranked[p[1]]))
-    return SerreGraph.from_geometric(order, sorted_pairs)
+            for h in sorted(oracle.step_targets(g, s)):
+                if h not in rank and level[i] < radius:
+                    rank[h] = len(order)
+                    order.append(h)
+                    level.append(level[i] + 1)
+                if h in rank:
+                    pairs.add((min(i, rank[h]), max(i, rank[h])))
+    return SerreGraph.from_geometric(order, [(order[a], order[b]) for a, b in sorted(pairs)])
 
 
 def connectivity_equals_generation(oracle, generators):

@@ -747,3 +747,31 @@ def chain_sum_chi(system, q):
         return 1 - sum(signed_chains(top) for top, _ in spherical if bottom < top)
 
     return sum(Fraction(signed_chains(subset)) / poincare(degrees) for subset, degrees in spherical)
+
+
+def two_pass_rough_cayley_ball(oracle, generators, radius):
+    """Reference for ``rough_cayley_ball``: ``(vertices, endpoint pairs)``
+    from a frontier-by-frontier search for the cosets within ``radius``,
+    then a second sweep over every coset and generator for the edges that
+    stay inside, each pair ordered and sorted by order of discovery."""
+    order = [oracle.coset_canon(oracle.identity)]
+    seen = set(order)
+    frontier = list(order)
+    for _ in range(radius):
+        next_frontier = []
+        for g in frontier:
+            for s in generators:
+                for h in sorted(oracle.step_targets(g, s)):
+                    if h not in seen:
+                        seen.add(h)
+                        order.append(h)
+                        next_frontier.append(h)
+        frontier = next_frontier
+    ranked = {v: i for i, v in enumerate(order)}
+    pairs = set()
+    for g in order:
+        for s in generators:
+            for h in oracle.step_targets(g, s):
+                if h in seen:
+                    pairs.add((g, h) if ranked[g] <= ranked[h] else (h, g))
+    return order, sorted(pairs, key=lambda p: (ranked[p[0]], ranked[p[1]]))

@@ -117,6 +117,26 @@ def test_gog_ball_and_cohomology(capsys):
     assert data["cohomology"] == {"h0": 0, "h1": 1}
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--unimodular", "--chi"), ("--ball", "2"), ("--cohomology", SAMPLES / "c4_hnn_rep.json"), ()],
+    ids=["unimodular-chi", "ball", "cohomology", "no-flag"],
+)
+def test_gog_checks_the_graph_of_groups_once(capsys, monkeypatch, flags):
+    from tdlcinv.graphs_of_groups import GraphOfFiniteGroups
+
+    check = GraphOfFiniteGroups.validate
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(GraphOfFiniteGroups, "validate", counted)
+    code, _, _ = run(capsys, "gog", SAMPLES / "c4_hnn.json", *flags)
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_homology_and_cohomology_c(capsys):
     code, out, _ = run(capsys, "homology", SAMPLES / "triangle.json", "--format", "json")
     assert code == 0
@@ -253,6 +273,40 @@ def test_coxeter_pair_whose_affine_part_is_not_affine(tmp_path, capsys, affine, 
         assert (code, json.loads(out)) == expected
     else:
         assert (code, out) == (2, "") and expected[1] in err
+
+
+@pytest.mark.parametrize(
+    "payload, argv, message",
+    [
+        ({"affine": {"cartan": [[2, -2], [-2, 2]]}}, ("coxeter", "FILE", "--poincare"),
+         "an 'affine' matrix needs its 'finite' part"),
+        ([[2, -1], [-1, 2]], ("davis", "FILE"), "expected an 'm' (Coxeter) or 'cartan' matrix"),
+        (None, ("davis", SAMPLES / "psl2z.json"), "expected an 'm' (Coxeter) or 'cartan' matrix"),
+        ({"m": [[1, 3], [3, 1]]}, ("coxeter", "FILE", "--poincare"), "Cartan JSON needs a 'cartan' matrix"),
+        (None, ("coxeter", "--preset", "B2", "--bott", "3"), "--bott needs an affine preset or an 'affine' matrix"),
+        (None, ("coxeter", "--preset", "B2", "--altsum", "2"),
+         "--altsum needs an affine preset or an 'affine' matrix"),
+        (None, ("coxeter", "--preset", "X9", "--poincare"), "unknown finite type preset 'X9'"),
+        (None, ("chevalley", "--type", "B3", "--q", "2", "--via-parahorics"),
+         "no affine preset paired with type 'B3'"),
+    ],
+    ids=[
+        "affine-without-finite",
+        "davis-bare-cartan-list",
+        "davis-graph-of-groups",
+        "coxeter-m-matrix",
+        "preset-B2-bott",
+        "preset-B2-altsum",
+        "preset-X9",
+        "chevalley-B3-via-parahorics",
+    ],
+)
+def test_decoder_refusals_keep_their_messages(tmp_path, capsys, payload, argv, message):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *(path if a == "FILE" else a for a in argv))
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
 
 
 @pytest.mark.parametrize(

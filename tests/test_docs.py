@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -31,3 +32,15 @@ def test_readme_caps_entries_name_the_defining_module():
         if not re.search(rf"^\* `{name}` = [0-9,]+ \(`tdlcinv\.{module}`\)", readme, re.MULTILINE)
     ]
     assert not wrong, f"README.md's Caps entries name the wrong module for {wrong}"
+
+
+def test_readme_loaders_resolve_in_their_modules():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cited = sorted(set(re.findall(r"`(?:tdlcinv\.)?(\w+)\.(load_\w+)", readme)))
+    assert cited, "README.md cites no module.load_* loader"
+    stale = [
+        f"{module}.{name}"
+        for module, name in cited
+        if not callable(getattr(importlib.import_module(f"tdlcinv.{module}"), name, None))
+    ]
+    assert not stale, f"README.md cites loaders that do not exist: {stale}"

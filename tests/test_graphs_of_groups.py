@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from tdlcinv.errors import ValidationError
 from tdlcinv.euler import HaarValue
 from tdlcinv.groups import FiniteGroup, Hom
 from tdlcinv.graphs_of_groups import (
     BALL_VERTEX_CAP,
     NotHomomorphism,
+    NotInjective,
     PiRepresentation,
     PiWord,
     RelationViolated,
@@ -93,9 +95,27 @@ def test_validate_loop_c4_over_c2():
 def test_validate_rejects_non_homomorphism():
     c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
     bad = Hom(c2, c4, [0, 1])  # generator of order 2 to element of order 4
-    gog = loop_of_groups(c4, c2, embed_to=bad, embed_from=Hom.from_generator_images(c2, c4, [1], [2]))
     with pytest.raises(NotHomomorphism):
-        gog.validate()
+        loop_of_groups(c4, c2, embed_to=bad, embed_from=Hom.from_generator_images(c2, c4, [1], [2]))
+
+
+def test_construction_rejects_non_injective_embedding():
+    c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    with pytest.raises(NotInjective, match="edge \\('e', '\\+'\\)"):
+        loop_of_groups(c4, c2, embed_to=Hom(c2, c4, [0, 0]), embed_from=Hom.from_generator_images(c2, c4, [1], [2]))
+
+
+def test_construction_rejects_embedding_into_the_wrong_vertex_group():
+    # the '-' embedding lands in C4, but the edge's '-' terminus carries C2
+    c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    into_c4 = Hom.from_generator_images(c2, c4, [1], [2])
+    with pytest.raises(ValidationError, match="embedding for \\('e', '-'\\) connects the wrong groups"):
+        edge_of_groups(c2, c4, c2, embed_to=into_c4, embed_from=into_c4)
+
+
+def test_construction_keeps_the_indices():
+    gog = c4_loop_over_c2()
+    assert gog.indices == gog.validate() == {("e", "+"): 2, ("e", "-"): 2}
 
 
 def test_unimodularity_tree_always_true():

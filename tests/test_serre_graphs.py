@@ -15,7 +15,7 @@ from tdlcinv.serre_graphs import (
     rough_cayley_ball,
 )
 
-from oracles import components_count, is_tree_dfs
+from oracles import components_count, is_tree_dfs, two_pass_rough_cayley_ball
 
 
 def test_constructor_validates_inversion():
@@ -120,6 +120,54 @@ def test_rough_cayley_integer_line():
         ball = rough_cayley_ball(IntegerLineOracle(), [1, -1], radius)
         assert len(ball.vertices) == 2 * radius + 1
         assert ball.graph_invariants() == (0, 1, True)
+
+
+def _relabelled_group(group, rng):
+    sigma = list(range(group.order))
+    rng.shuffle(sigma)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(group.mult):
+        for b, ab in enumerate(row):
+            table[sigma[a]][sigma[b]] = sigma[ab]
+    return FiniteGroup.from_table(table)
+
+
+def _assert_one_pass_matches_two_pass(oracle, gens, radius):
+    ball = rough_cayley_ball(oracle, gens, radius)
+    vertices, pairs = two_pass_rough_cayley_ball(oracle, gens, radius)
+    assert ball.vertices == tuple(vertices)
+    assert {e: (ball.origin[e], ball.terminus[e]) for e in ball.edges} == {
+        e: pair if e % 2 == 0 else pair[::-1] for k, pair in enumerate(pairs) for e in (2 * k, 2 * k + 1)
+    }
+
+
+ORACLE_GROUPS = {
+    "S4": lambda rng: FiniteGroup.symmetric(4),
+    "A5": lambda rng: FiniteGroup.alternating(5),
+    "dihedral": lambda rng: FiniteGroup.dihedral(rng.randint(3, 12)),
+    "relabelled-S4": lambda rng: _relabelled_group(FiniteGroup.symmetric(4), rng),
+    "relabelled-A5": lambda rng: _relabelled_group(FiniteGroup.alternating(5), rng),
+    "relabelled-D9": lambda rng: _relabelled_group(FiniteGroup.dihedral(9), rng),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_rough_cayley_one_pass_matches_the_two_pass_oracle(name):
+    rng = random.Random(name)
+    group = ORACLE_GROUPS[name](rng)
+    for _ in range(3):
+        oracle = FiniteGroupOracle(group, rng.sample(group.elements, rng.randint(0, 2)))
+        outside = [g for g in group.elements if not oracle.in_O(g)]
+        picked = rng.sample(outside, min(len(outside), rng.randint(1, 3)))
+        gens = sorted(set(picked) | {oracle.inverse(s) for s in picked})
+        for radius in (0, 1, 2, 3, 4, group.order):
+            _assert_one_pass_matches_two_pass(oracle, gens, radius)
+
+
+def test_rough_cayley_one_pass_matches_the_two_pass_oracle_on_the_integer_line():
+    for gens in ([1, -1], [1, -1, 2, -2]):
+        for radius in range(5):
+            _assert_one_pass_matches_two_pass(IntegerLineOracle(), gens, radius)
 
 
 def test_rough_cayley_rejects_bad_generators():
