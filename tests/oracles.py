@@ -4,10 +4,12 @@ Everything here is deliberately naive (dense textbook elimination, exhaustive
 enumeration, plain DFS) and shares no code with the library paths it checks.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
+from tdlcinv import cli
 from tdlcinv.errors import ValidationError
 from tdlcinv.groups import NotAGroup
 from tdlcinv.ratlin import RationalMatrix, homology_dims
@@ -775,3 +777,74 @@ def two_pass_rough_cayley_ball(oracle, generators, radius):
                 if h in seen:
                     pairs.add((g, h) if ranked[g] <= ranked[h] else (h, g))
     return order, sorted(pairs, key=lambda p: (ranked[p[0]], ranked[p[1]]))
+
+
+def reference_parser():
+    """The CLI's argument parser written out by hand, one ``add_argument``
+    per option: the reference for the help and usage errors that
+    ``tdlcinv.cli.main`` prints and for the namespaces it runs."""
+    parser = argparse.ArgumentParser(
+        prog="tdlcinv",
+        description="Exact finite-scale invariants of totally disconnected "
+        "locally compact groups",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "json"), default="table")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("homology", parents=[common], help="rational homology of a complex")
+    p.add_argument("input")
+    p.set_defaults(handler=cli.cmd_homology)
+
+    p = sub.add_parser("cohomology-c", parents=[common], help="compactly supported cohomology")
+    p.add_argument("input")
+    p.set_defaults(handler=cli.cmd_cohomology_c)
+
+    p = sub.add_parser("relative", parents=[common], help="cohomology of a complex pair")
+    p.add_argument("input")
+    p.set_defaults(handler=cli.cmd_relative)
+
+    p = sub.add_parser("graph", parents=[common], help="edge-boundary invariants of a graph")
+    p.add_argument("input")
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of numbers")
+    p.set_defaults(handler=cli.cmd_graph)
+
+    p = sub.add_parser("rough-cayley", parents=[common], help="coset-graph ball of a finite group")
+    p.add_argument("input")
+    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--dot", action="store_true")
+    p.set_defaults(handler=cli.cmd_rough_cayley)
+
+    p = sub.add_parser("gog", parents=[common], help="graph-of-groups invariants")
+    p.add_argument("input")
+    p.add_argument("--chi", action="store_true", help="Euler characteristic")
+    p.add_argument("--unimodular", action="store_true")
+    p.add_argument("--ball", type=int, metavar="R", help="tree ball radius")
+    p.add_argument("--cohomology", metavar="REP.json", help="tree-action cohomology")
+    p.set_defaults(handler=cli.cmd_gog)
+
+    p = sub.add_parser("coxeter", parents=[common], help="length counts, exponents, identities")
+    p.add_argument("input", nargs="?")
+    p.add_argument("--preset", help='e.g. "A2" or "affine A2"')
+    p.add_argument("--poincare", action="store_true")
+    p.add_argument("--exponents", action="store_true")
+    p.add_argument("--bott", type=int, metavar="N")
+    p.add_argument("--altsum", type=int, metavar="Q")
+    p.set_defaults(handler=cli.cmd_coxeter)
+
+    p = sub.add_parser("davis", parents=[common], help="chamber duality verdict of a Coxeter system")
+    p.add_argument("input")
+    p.add_argument(
+        "--exclude-empty-T",
+        dest="exclude_empty_t",
+        action="store_true",
+        help="scan nonempty spherical subsets only",
+    )
+    p.set_defaults(handler=cli.cmd_davis)
+
+    p = sub.add_parser("chevalley", parents=[common], help="closed-form Euler characteristic")
+    p.add_argument("--type", required=True, help="finite type name, e.g. A2")
+    p.add_argument("--q", required=True, type=int)
+    p.add_argument("--via-parahorics", dest="via_parahorics", action="store_true")
+    p.set_defaults(handler=cli.cmd_chevalley)
+    return parser
