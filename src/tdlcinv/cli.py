@@ -13,13 +13,18 @@ or ``coxeter.preset``, and not checked again here.  Each handler imports
 the library modules it uses when it runs, so a subcommand loads only
 those, and the CLI itself loads no ``fractions``.
 
+``COMMANDS`` declares each subcommand once.  ``_read_argv`` reads an argv
+of the plain form every job uses straight from that table; argparse, in
+``build_parser``, is imported only for any other argv, so it alone prints
+the help and every usage error.
+
 Exit codes: 0 success, 2 invalid input (the diagnostic names the violated
 invariant), 1 internal failure.
 """
 
-import argparse
 import json
 import sys
+import types
 
 from .errors import ValidationError
 
@@ -143,13 +148,15 @@ def cmd_gog(args):
     payload = {}
     lines = []
     ran_anything = False
+    # euler_characteristic raises NotUnimodular unless the check passes,
+    # so a computed chi answers --unimodular too
+    value = gog.euler_characteristic() if args.chi else None
     if args.unimodular:
-        verdict = gog.unimodularity_check()
+        verdict = value is not None or gog.unimodularity_check()
         payload["unimodular"] = verdict
         lines.append(f"unimodular {'yes' if verdict else 'no'}")
         ran_anything = True
     if args.chi:
-        value = gog.euler_characteristic()
         payload["chi"] = {"coefficient": str(value.coeff), "base": value.base}
         lines.append(f"Euler characteristic {value}")
         ran_anything = True
@@ -253,84 +260,152 @@ def cmd_chevalley(args):
     return 0
 
 
-# -- parser ------------------------------------------------------------------------
+# -- argv ------------------------------------------------------------------------------
+
+
+def _option(flag, kind="flag", default=None, metavar=None, required=False, help=None, dest=None):
+    """One option row: ``kind`` is "flag" (``store_true``), ``int``, ``str``
+    or a tuple of the allowed values; ``dest`` defaults to the flag's name."""
+    if kind == "flag":
+        default = False
+    return flag, kind, dest or flag[2:].replace("-", "_"), default, metavar, required, help
+
+
+FORMAT = _option("--format", ("table", "json"), "table")
+
+# Each subcommand once: its handler, help, positional ("input", "input?" when
+# it may be left out, or None) and options after ``--format``.  build_parser
+# and _read_argv both read this table.
+COMMANDS = {
+    "homology": (cmd_homology, "rational homology of a complex", "input", ()),
+    "cohomology-c": (cmd_cohomology_c, "compactly supported cohomology", "input", ()),
+    "relative": (cmd_relative, "cohomology of a complex pair", "input", ()),
+    "graph": (
+        cmd_graph, "edge-boundary invariants of a graph", "input",
+        (_option("--dot", help="emit DOT instead of numbers"),),
+    ),
+    "rough-cayley": (
+        cmd_rough_cayley, "coset-graph ball of a finite group", "input",
+        (_option("--radius", int, 2), _option("--dot")),
+    ),
+    "gog": (
+        cmd_gog, "graph-of-groups invariants", "input",
+        (
+            _option("--chi", help="Euler characteristic"),
+            _option("--unimodular"),
+            _option("--ball", int, metavar="R", help="tree ball radius"),
+            _option("--cohomology", str, metavar="REP.json", help="tree-action cohomology"),
+        ),
+    ),
+    "coxeter": (
+        cmd_coxeter, "length counts, exponents, identities", "input?",
+        (
+            _option("--preset", str, help='e.g. "A2" or "affine A2"'),
+            _option("--poincare"),
+            _option("--exponents"),
+            _option("--bott", int, metavar="N"),
+            _option("--altsum", int, metavar="Q"),
+        ),
+    ),
+    "davis": (
+        cmd_davis, "chamber duality verdict of a Coxeter system", "input",
+        (_option("--exclude-empty-T", dest="exclude_empty_t", help="scan nonempty spherical subsets only"),),
+    ),
+    "chevalley": (
+        cmd_chevalley, "closed-form Euler characteristic", None,
+        (
+            _option("--type", str, required=True, help="finite type name, e.g. A2"),
+            _option("--q", int, required=True),
+            _option("--via-parahorics"),
+        ),
+    ),
+}
 
 
 def build_parser():
+    """The argparse parser of ``COMMANDS``: it prints the help and every
+    usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tdlcinv",
         description="Exact finite-scale invariants of totally disconnected "
         "locally compact groups",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("homology", parents=[common], help="rational homology of a complex")
-    p.add_argument("input")
-    p.set_defaults(handler=cmd_homology)
-
-    p = sub.add_parser("cohomology-c", parents=[common], help="compactly supported cohomology")
-    p.add_argument("input")
-    p.set_defaults(handler=cmd_cohomology_c)
-
-    p = sub.add_parser("relative", parents=[common], help="cohomology of a complex pair")
-    p.add_argument("input")
-    p.set_defaults(handler=cmd_relative)
-
-    p = sub.add_parser("graph", parents=[common], help="edge-boundary invariants of a graph")
-    p.add_argument("input")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of numbers")
-    p.set_defaults(handler=cmd_graph)
-
-    p = sub.add_parser("rough-cayley", parents=[common], help="coset-graph ball of a finite group")
-    p.add_argument("input")
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(handler=cmd_rough_cayley)
-
-    p = sub.add_parser("gog", parents=[common], help="graph-of-groups invariants")
-    p.add_argument("input")
-    p.add_argument("--chi", action="store_true", help="Euler characteristic")
-    p.add_argument("--unimodular", action="store_true")
-    p.add_argument("--ball", type=int, metavar="R", help="tree ball radius")
-    p.add_argument("--cohomology", metavar="REP.json", help="tree-action cohomology")
-    p.set_defaults(handler=cmd_gog)
-
-    p = sub.add_parser("coxeter", parents=[common], help="length counts, exponents, identities")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--preset", help='e.g. "A2" or "affine A2"')
-    p.add_argument("--poincare", action="store_true")
-    p.add_argument("--exponents", action="store_true")
-    p.add_argument("--bott", type=int, metavar="N")
-    p.add_argument("--altsum", type=int, metavar="Q")
-    p.set_defaults(handler=cmd_coxeter)
-
-    p = sub.add_parser("davis", parents=[common], help="chamber duality verdict of a Coxeter system")
-    p.add_argument("input")
-    p.add_argument(
-        "--exclude-empty-T",
-        dest="exclude_empty_t",
-        action="store_true",
-        help="scan nonempty spherical subsets only",
-    )
-    p.set_defaults(handler=cmd_davis)
-
-    p = sub.add_parser("chevalley", parents=[common], help="closed-form Euler characteristic")
-    p.add_argument("--type", required=True, help="finite type name, e.g. A2")
-    p.add_argument("--q", required=True, type=int)
-    p.add_argument("--via-parahorics", dest="via_parahorics", action="store_true")
-    p.set_defaults(handler=cmd_chevalley)
+    for name, (handler, summary, positional, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kind, dest, default, metavar, required, help_text in (FORMAT, *options):
+            if kind == "flag":
+                p.add_argument(flag, dest=dest, action="store_true", help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, dest=dest, choices=kind, default=default)
+            else:
+                p.add_argument(
+                    flag, dest=dest, type=kind, default=default, metavar=metavar, required=required, help=help_text
+                )
+        if positional:
+            p.add_argument("input", nargs="?" if positional == "input?" else None)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` would give, when
+    ``argv`` takes the plain form: a subcommand, then exact option names
+    as separate tokens, each value after its option, not starting with
+    ``-`` and converted, every required value given and at most one
+    positional (for coxeter, exactly one of it and ``--preset``).  None for
+    any other argv, which ``main`` hands to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, positional, options = COMMANDS[argv[0]]
+    rows = {row[0]: row for row in (FORMAT, *options)}
+    values = {dest: default for _, _, dest, default, *_ in rows.values()}
+    inputs = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            inputs.append(token)
+            continue
+        if token not in rows:
+            return None
+        _, kind, dest, *_ = rows[token]
+        if kind == "flag":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        values[dest] = value
+    if any(required and values[dest] is None for _, _, dest, _, _, required, _ in rows.values()):
+        return None
+    if len(inputs) > (positional is not None) or positional == "input" and not inputs:
+        return None
+    if positional:
+        values["input"] = inputs[0] if inputs else None
+    if argv[0] == "coxeter" and bool(values["input"]) == bool(values["preset"]):
+        return None
+    return types.SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "coxeter" and not args.preset and not args.input:
-        parser.error("coxeter needs an input file or --preset")
-    if args.command == "coxeter" and args.preset and args.input:
-        parser.error("coxeter takes an input file or --preset, not both")
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "coxeter" and not args.preset and not args.input:
+            parser.error("coxeter needs an input file or --preset")
+        if args.command == "coxeter" and args.preset and args.input:
+            parser.error("coxeter takes an input file or --preset, not both")
     try:
         return args.handler(args)
     except ValidationError as exc:

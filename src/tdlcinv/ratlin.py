@@ -7,6 +7,12 @@ homology dimension computed here is exact, and no mathematical code path
 touches floating point.  Matrices are immutable after construction;
 elimination always works on private row copies.
 
+``fractions`` is imported only where a ``Fraction`` is made or tested: at
+the first non-``int`` entry of a new matrix, in ``entry``, ``to_dense``,
+``apply`` and ``_back_substitute``.  Ranking an all-``int`` matrix, such as
+every boundary matrix, loads no ``fractions``.  ``Rational``, the scalar
+field, is ``fractions.Fraction``, resolved on first use (PEP 562).
+
 ``rank``, ``kernel_basis`` and ``solve`` share one elimination kernel,
 ``RationalMatrix._pivots``: fraction-free forward elimination over Python
 ``int``, with a column-to-rows index and gcd content removal.  Integer
@@ -31,12 +37,17 @@ a chain complex that the caller supplies as matrices, and the only one
 that checks d∘d = 0.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
-# The scalar field.  Fraction is arbitrary precision, always reduced, and
-# keeps its denominator positive, which is exactly the contract needed here.
-Rational = Fraction
+
+def __getattr__(name):
+    # Rational: Fraction is arbitrary precision, always reduced, and keeps
+    # its denominator positive, which is exactly the contract needed here.
+    if name == "Rational":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CompositionNonZero(Exception):
@@ -54,12 +65,16 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         cleaned = {}
+        Fraction = None  # imported at the first entry that is not an int
         if entries:
             for (i, j), value in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry index ({i}, {j}) outside {rows}x{cols}")
-                if type(value) is not int and type(value) is not Fraction:
-                    value = Fraction(value)  # a bool, too
+                if type(value) is not int:
+                    if Fraction is None:
+                        from fractions import Fraction
+                    if type(value) is not Fraction:
+                        value = Fraction(value)  # a bool, too
                 if value:
                     cleaned[(i, j)] = value
         self._entries = cleaned
@@ -92,6 +107,8 @@ class RationalMatrix:
     # -- plain accessors -------------------------------------------------------
 
     def entry(self, i, j):
+        from fractions import Fraction
+
         return self._entries.get((i, j), Fraction(0))
 
     def entries(self):
@@ -106,6 +123,8 @@ class RationalMatrix:
         return not self._entries
 
     def to_dense(self):
+        from fractions import Fraction
+
         dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
         for (i, j), value in self._entries.items():
             dense[i][j] = value
@@ -148,6 +167,8 @@ class RationalMatrix:
         """Matrix times column vector (any sequence of length ``cols``)."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
+        from fractions import Fraction
+
         out = [Fraction(0)] * self.rows
         for (i, j), v in self._entries.items():
             if vector[j]:
@@ -306,6 +327,8 @@ def _back_substitute(pivots, vec):
     first.  One division per coordinate at the end gives the reduced
     ``Fraction`` values.
     """
+    from fractions import Fraction
+
     den = lcm(*(x.denominator for x in vec))
     num = [x.numerator * (den // x.denominator) for x in vec]
     for col, pv, row, _ in reversed(pivots):

@@ -137,6 +137,22 @@ def test_gog_checks_the_graph_of_groups_once(capsys, monkeypatch, flags):
     assert (code, len(calls)) == (0, 1)
 
 
+def test_gog_unimodular_chi_evaluates_the_cycle_products_once(capsys, monkeypatch):
+    from tdlcinv import graphs_of_groups
+
+    products = graphs_of_groups.cycle_index_ratio_products
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(graphs_of_groups, "cycle_index_ratio_products", counted)
+    code, out, _ = run(capsys, "gog", SAMPLES / "c4_hnn.json", "--unimodular", "--chi")
+    assert (code, len(calls)) == (0, 1)
+    assert out.splitlines()[0] == "unimodular yes"
+
+
 def test_homology_and_cohomology_c(capsys):
     code, out, _ = run(capsys, "homology", SAMPLES / "triangle.json", "--format", "json")
     assert code == 0

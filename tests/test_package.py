@@ -38,6 +38,22 @@ def test_importing_the_cli_loads_no_library_module():
     assert result.stdout.split() == ["tdlcinv", "tdlcinv.cli", "tdlcinv.errors", "False"]
 
 
+# argparse runs only for help and usage errors
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def test_importing_the_cli_loads_no_argparse():
+    result = _python("-c", "import sys, tdlcinv.cli; print(*sorted(sys.modules))")
+    assert result.returncode == 0, result.stderr
+    assert not ARGPARSE & set(result.stdout.split())
+
+
+def test_rational_is_fraction():
+    import fractions
+
+    assert tdlcinv.Rational is fractions.Fraction
+
+
 def test_no_library_module_imports_future():
     # read from the source, since site may import __future__ on its own
     for path in sorted((SRC / "tdlcinv").glob("*.py")):
@@ -88,12 +104,17 @@ SUBCOMMAND_RUNS = {
     "davis": ["davis", "affine_a2_coxeter.json"],
     "chevalley": ["chevalley", "--type", "A2", "--q", "2", "--via-parahorics"],
 }
-NEVER_LOADED = {"dataclasses", "inspect"}  # not typing: site may load it
+NEVER_LOADED = {"dataclasses", "inspect"} | ARGPARSE  # not typing: site may load it
+NO_FRACTIONS = {"fractions", "decimal"}  # these runs rank only int matrices
 NOT_LOADED_BY = {
-    "graph": {"tdlcinv.simplicial"},
-    "rough-cayley": {"tdlcinv.simplicial"},
+    "homology": NO_FRACTIONS,
+    "cohomology-c": NO_FRACTIONS,
+    "relative": NO_FRACTIONS,
+    "graph": {"tdlcinv.simplicial"} | NO_FRACTIONS,
+    "rough-cayley": {"tdlcinv.simplicial"} | NO_FRACTIONS,
     "gog": {"tdlcinv.coxeter", "tdlcinv.euler", "tdlcinv.simplicial"},
-    "davis": {f"tdlcinv.{name}" for name in ("euler", "groups", "serre_graphs", "graphs_of_groups", "haar")},
+    "davis": {f"tdlcinv.{name}" for name in ("euler", "groups", "serre_graphs", "graphs_of_groups", "haar")}
+    | NO_FRACTIONS,
 }
 
 
