@@ -17,11 +17,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coxeter": (
-        "AffineCartanPair", "CartanMatrix", "CoxeterSystem", "affine_preset",
-        "alternating_sum_identity", "bott_check", "enumerate_by_length", "exponents",
-        "finite_preset", "poincare_poly",
+        "AffineCartanPair", "CartanMatrix", "affine_preset", "alternating_sum_identity",
+        "bott_check", "enumerate_by_length", "exponents", "finite_preset", "poincare_poly",
     ),
     "davis": ("DualityVerdict", "build_chamber", "duality_verdict", "kac_moody_verdict"),
+    "diagrams": ("CoxeterSystem",),
     "errors": ("ValidationError",),
     "euler": (
         "ResolutionDescription", "chevalley_chi", "chi_from_resolution", "chi_via_parahoric_sum",

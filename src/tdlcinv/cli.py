@@ -220,10 +220,9 @@ def cmd_coxeter(args):
 
 
 def cmd_davis(args):
-    from . import coxeter as cox
-    from . import davis
+    from . import davis, diagrams
 
-    system = cox.load_system(_read_json(args.input))
+    system = diagrams.load_system(_read_json(args.input))
     verdict = davis.duality_verdict(system, include_empty=not args.exclude_empty_t)
     payload = verdict.to_json()
     lines = [

@@ -3,7 +3,7 @@
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from tdlcinv.coxeter import INFINITY, CoxeterSystem
+from tdlcinv.diagrams import INFINITY, CoxeterSystem
 from tdlcinv.groups import FiniteGroup, Hom
 from tdlcinv.graphs_of_groups import PiRepresentation, build_gog
 from tdlcinv.simplicial import SimplicialComplex

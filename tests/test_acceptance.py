@@ -27,7 +27,7 @@ from tdlcinv.simplicial import (
     ball_sphere_growth,
     regular_tree_window,
 )
-from tdlcinv.coxeter import INFINITY, CoxeterSystem
+from tdlcinv.diagrams import INFINITY, CoxeterSystem
 
 from fuzzers import random_complex, random_finite_group, random_gog, trivial_hom
 from oracles import extension_coboundary, is_tree_dfs

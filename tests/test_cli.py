@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from tdlcinv.cli import main
-from tdlcinv.coxeter import BOTT_DEGREE_CAP, GENERATOR_CAP, CoxeterSystem
+from tdlcinv.coxeter import BOTT_DEGREE_CAP
+from tdlcinv.diagrams import GENERATOR_CAP, CoxeterSystem
 
 from fuzzers import clique_skeleton
 
@@ -62,6 +63,13 @@ def test_davis_strict_flag(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(row["T"] for row in data["table"])
+
+
+def test_davis_reads_a_cartan_matrix_as_its_weyl_group(capsys, tmp_path):
+    # the affine A2 Cartan matrix, whose Weyl group is the sample's Coxeter matrix
+    cartan = tmp_path / "affine_a2_cartan.json"
+    cartan.write_text('{"cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}', encoding="utf-8")
+    assert run(capsys, "davis", cartan) == run(capsys, "davis", SAMPLES / "affine_a2_coxeter.json")
 
 
 def test_chevalley_value(capsys):

@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tdlcinv.coxeter import (
-    INFINITY,
     AffineCartanPair,
     CartanMatrix,
-    CoxeterSystem,
     IntPolynomial,
     NotCrystallographic,
     affine_preset,
@@ -18,13 +16,12 @@ from tdlcinv.coxeter import (
     exponents,
     finite_preset,
     load_cartan,
-    load_coxeter,
     poincare_from_degrees,
     poincare_poly,
     AFFINE_CARTAN,
     FINITE_CARTAN,
-    GENERATOR_CAP,
 )
+from tdlcinv.diagrams import GENERATOR_CAP, INFINITY, CoxeterSystem, load_coxeter
 from tdlcinv.errors import ValidationError
 
 from oracles import (

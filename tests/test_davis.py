@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tdlcinv.coxeter import INFINITY, CoxeterSystem, load_coxeter
+from tdlcinv.diagrams import INFINITY, CoxeterSystem, load_coxeter
 from tdlcinv.errors import ValidationError
 from tdlcinv import davis
 from tdlcinv.davis import (
@@ -200,7 +200,7 @@ def test_poset_cap(monkeypatch):
     with pytest.raises(PosetTooLarge, match="SPHERICAL_SUBSET_CAP"):
         build_chamber(infinite_dihedral())  # three spherical subsets
     monkeypatch.undo()
-    monkeypatch.setattr("tdlcinv.coxeter.GENERATOR_CAP", 1)
+    monkeypatch.setattr("tdlcinv.diagrams.GENERATOR_CAP", 1)
     with pytest.raises(ValidationError, match="GENERATOR_CAP"):
         build_chamber(infinite_dihedral())
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_force_spherical_subsets, chain_sum_chi
-from tdlcinv.coxeter import CoxeterSystem, affine_preset, finite_preset, load_coxeter
+from tdlcinv.coxeter import affine_preset, finite_preset
+from tdlcinv.diagrams import CoxeterSystem, load_coxeter
 from tdlcinv.euler import (
     IWAHORI_BASE,
     HaarValue,

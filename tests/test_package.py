@@ -113,8 +113,24 @@ NOT_LOADED_BY = {
     "graph": {"tdlcinv.simplicial"} | NO_FRACTIONS,
     "rough-cayley": {"tdlcinv.simplicial"} | NO_FRACTIONS,
     "gog": {"tdlcinv.coxeter", "tdlcinv.euler", "tdlcinv.simplicial"},
-    "davis": {f"tdlcinv.{name}" for name in ("euler", "groups", "serre_graphs", "graphs_of_groups", "haar")}
+    "davis": {
+        f"tdlcinv.{name}"
+        for name in ("coxeter", "euler", "groups", "serre_graphs", "graphs_of_groups", "haar", "polynomial")
+    }
     | NO_FRACTIONS,
+}
+# every library module each run loads, besides tdlcinv, tdlcinv.cli and
+# tdlcinv.errors, so that a new import on a job's path fails a test
+LOADS = {
+    "homology": ("ratlin", "records", "simplicial"),
+    "cohomology-c": ("ratlin", "records", "simplicial"),
+    "relative": ("ratlin", "records", "simplicial"),
+    "graph": ("ratlin", "serre_graphs"),
+    "rough-cayley": ("groups", "ratlin", "serre_graphs"),
+    "gog": ("graphs_of_groups", "groups", "haar", "ratlin", "records", "serre_graphs"),
+    "coxeter": ("coxeter", "diagrams", "polynomial", "records"),
+    "davis": ("davis", "diagrams", "ratlin", "records", "simplicial"),
+    "chevalley": ("coxeter", "diagrams", "euler", "haar", "polynomial", "records"),
 }
 
 
@@ -127,6 +143,8 @@ def test_subcommand_import_footprint(command):
     exit_code, *loaded = result.stdout.splitlines()[-1].split()
     assert exit_code == "0"
     assert not set(loaded) & (NEVER_LOADED | NOT_LOADED_BY.get(command, set()))
+    library = [name for name in loaded if name.split(".")[0] == "tdlcinv"]
+    assert library == sorted({"tdlcinv", "tdlcinv.cli", "tdlcinv.errors"} | {f"tdlcinv.{name}" for name in LOADS[command]})
 
 
 def test_running_the_cli_module_writes_nothing_to_stderr():

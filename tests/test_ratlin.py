@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 import tdlcinv.ratlin
-from tdlcinv.coxeter import CoxeterSystem
+from tdlcinv.diagrams import CoxeterSystem
 from tdlcinv.davis import build_chamber
 from tdlcinv.ratlin import CompositionNonZero, RationalMatrix, chain_ranks, homology_dims
 from tdlcinv.simplicial import SimplicialComplex, relative_cohomology, union_complexes

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from tdlcinv.coxeter import AffineCartanPair, CartanMatrix, CoxeterSystem, affine_preset, finite_preset
+from tdlcinv.coxeter import AffineCartanPair, CartanMatrix, affine_preset, finite_preset
 from tdlcinv.davis import DavisChamber, DualityVerdict, SphericalPoset, build_chamber
+from tdlcinv.diagrams import CoxeterSystem
 from tdlcinv.errors import ValidationError
 from tdlcinv.euler import HaarValue, ResolutionDescription
 from tdlcinv.records import Record
