@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coxeter": (
-        "AffineCartanPair", "CartanMatrix", "affine_preset", "alternating_sum_identity",
+        "AffineCartanPair", "CartanMatrix", "IntPolynomial", "affine_preset", "alternating_sum_identity",
         "bott_check", "enumerate_by_length", "exponents", "finite_preset", "poincare_poly",
     ),
     "davis": ("DualityVerdict", "build_chamber", "duality_verdict", "kac_moody_verdict"),
@@ -33,7 +33,6 @@ _EXPORTS = {
     ),
     "groups": ("FiniteGroup", "Hom", "group_from_spec"),
     "haar": ("HaarValue",),
-    "polynomial": ("IntPolynomial",),
     "ratlin": ("Rational", "RationalMatrix", "homology_dims"),
     "serre_graphs": (
         "FiniteGroupOracle", "IntegerLineOracle", "SerreGraph", "connectivity_equals_generation",

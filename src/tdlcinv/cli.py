@@ -6,12 +6,13 @@ is a human table by default or canonical JSON with ``--format json``
 (sorted keys, two-space indent, trailing newline), byte-identical across
 runs for identical inputs.
 
-The CLI parses arguments, dispatches and writes output.  Each input but
-rough-cayley's is decoded and checked once, by a library ``load_*``
-function (``graphs_of_groups.load_gog``, ``coxeter.load_weyl_input``, ...)
-or ``coxeter.preset``, and not checked again here.  Each handler imports
-the library modules it uses when it runs, so a subcommand loads only
-those, and the CLI itself loads no ``fractions``.
+The CLI parses arguments, dispatches and writes output.  Each input is
+decoded and checked once, by a library ``load_*`` function
+(``graphs_of_groups.load_gog``, ``groups.load_rough_cayley``, ...) or
+``coxeter.preset``, and not checked again here.  Each handler returns its
+JSON payload and its table lines, and ``main`` alone writes them.  Each
+handler imports the library modules it uses when it runs, so a subcommand
+loads only those, and the CLI itself loads no ``fractions``.
 
 ``COMMANDS`` declares each subcommand once.  ``_read_argv`` reads an argv
 of the plain form every job uses straight from that table; argparse, in
@@ -45,14 +46,6 @@ def _read_json(path):
         raise ValidationError(f"input file {path!r} nests its JSON too deeply to read")
 
 
-def _emit(args, payload, lines):
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-
-
 # -- subcommand handlers --------------------------------------------------------
 
 
@@ -61,9 +54,7 @@ def cmd_homology(args):
 
     complex_, _ = simplicial.load_complex(_read_json(args.input))
     dims = complex_.homology()
-    payload = {"dims": dims}
-    _emit(args, payload, [f"H_{q} dimension {d}" for q, d in enumerate(dims)])
-    return 0
+    return {"dims": dims}, [f"H_{q} dimension {d}" for q, d in enumerate(dims)]
 
 
 def cmd_cohomology_c(args):
@@ -71,8 +62,7 @@ def cmd_cohomology_c(args):
 
     complex_, _ = simplicial.load_complex(_read_json(args.input))
     dims = complex_.cohomology_compact()
-    _emit(args, {"dims": dims}, [f"Hc^{q} dimension {d}" for q, d in enumerate(dims)])
-    return 0
+    return {"dims": dims}, [f"Hc^{q} dimension {d}" for q, d in enumerate(dims)]
 
 
 def cmd_relative(args):
@@ -80,8 +70,7 @@ def cmd_relative(args):
 
     big, sub = simplicial.load_pair(_read_json(args.input))
     dims = simplicial.relative_cohomology(big, sub)
-    _emit(args, {"dims": dims}, [f"H^{q}(pair) dimension {d}" for q, d in enumerate(dims)])
-    return 0
+    return {"dims": dims}, [f"H^{q}(pair) dimension {d}" for q, d in enumerate(dims)]
 
 
 def cmd_graph(args):
@@ -96,31 +85,18 @@ def cmd_graph(args):
         f"tree {'yes' if is_tree else 'no'}",
     ]
     if args.dot:
-        lines = [graph.to_dot()]
         payload["dot"] = graph.to_dot()
-    _emit(args, payload, lines)
-    return 0
-
-
-def _element_ids(data, key, group):
-    ids = data.get(key, [])
-    if not isinstance(ids, list) or not all(map(group.is_element, ids)):
-        raise ValidationError(f"{key!r} must list element ids 0..{group.order - 1}")
-    return ids
+        lines = [payload["dot"]]
+    return payload, lines
 
 
 def cmd_rough_cayley(args):
     from . import serre_graphs
-    from .groups import group_from_spec
+    from .groups import load_rough_cayley
 
-    data = _read_json(args.input)
-    if not isinstance(data, dict) or "group" not in data:
-        raise ValidationError("rough-cayley input must be an object with a 'group'")
-    group = group_from_spec(data["group"])
-    oracle = serre_graphs.FiniteGroupOracle(group, _element_ids(data, "subgroup_gens", group))
-    generators = _element_ids(data, "generators", group)
-    closed = sorted(set(generators) | {oracle.inverse(s) for s in generators})
-    ball = serre_graphs.rough_cayley_ball(oracle, closed, args.radius)
+    group, subgroup_gens, generators = load_rough_cayley(_read_json(args.input))
+    oracle = serre_graphs.FiniteGroupOracle(group, subgroup_gens)
+    ball = serre_graphs.rough_cayley_ball(oracle, generators, args.radius)
     h1, components, is_tree = ball.graph_invariants()
     payload = {
         "vertices": len(ball.vertices),
@@ -130,15 +106,13 @@ def cmd_rough_cayley(args):
         "tree": is_tree,
     }
     lines = [
-        f"ball radius {args.radius}: {len(ball.vertices)} cosets, "
-        f"{ball.geometric_edge_count()} geometric edges",
+        f"ball radius {args.radius}: {payload['vertices']} cosets, {payload['geometric_edges']} geometric edges",
         f"first Betti number {h1}, components {components}",
     ]
     if args.dot:
         payload["dot"] = ball.to_dot()
-        lines = [ball.to_dot()]
-    _emit(args, payload, lines)
-    return 0
+        lines = [payload["dot"]]
+    return payload, lines
 
 
 def cmd_gog(args):
@@ -147,7 +121,6 @@ def cmd_gog(args):
     gog = gog_mod.load_gog(_read_json(args.input))
     payload = {}
     lines = []
-    ran_anything = False
     # euler_characteristic raises NotUnimodular unless the check passes,
     # so a computed chi answers --unimodular too
     value = gog.euler_characteristic() if args.chi else None
@@ -155,36 +128,24 @@ def cmd_gog(args):
         verdict = value is not None or gog.unimodularity_check()
         payload["unimodular"] = verdict
         lines.append(f"unimodular {'yes' if verdict else 'no'}")
-        ran_anything = True
     if args.chi:
         payload["chi"] = {"coefficient": str(value.coeff), "base": value.base}
         lines.append(f"Euler characteristic {value}")
-        ran_anything = True
     if args.ball is not None:
         ball = gog.bass_serre_ball(args.ball)
-        payload["ball"] = {
-            "vertices": len(ball.vertices),
-            "geometric_edges": ball.geometric_edge_count(),
-            "tree": ball.graph_invariants()[2],
-        }
-        lines.append(
-            f"tree ball radius {args.ball}: {len(ball.vertices)} vertices, "
-            f"{ball.geometric_edge_count()} edges"
-        )
-        ran_anything = True
+        vertices, edges = len(ball.vertices), ball.geometric_edge_count()
+        payload["ball"] = {"vertices": vertices, "geometric_edges": edges, "tree": ball.graph_invariants()[2]}
+        lines.append(f"tree ball radius {args.ball}: {vertices} vertices, {edges} edges")
     if args.cohomology is not None:
         rep = gog_mod.load_representation(_read_json(args.cohomology), gog)
         h0, h1 = gog.tree_action_cohomology(rep)
         payload["cohomology"] = {"h0": h0, "h1": h1}
         lines.append(f"tree-action cohomology h0 {h0}, h1 {h1}")
-        ran_anything = True
-    if not ran_anything:
-        indices = gog.indices
-        payload["indices"] = {str(k): v for k, v in sorted(indices.items(), key=str)}
+    if not payload:
+        payload["indices"] = {str(k): v for k, v in sorted(gog.indices.items(), key=str)}
         lines.append("valid graph of groups; edge image indices:")
-        lines.extend(f"  {k}: {v}" for k, v in sorted(indices.items(), key=str))
-    _emit(args, payload, lines)
-    return 0
+        lines.extend(f"  {k}: {v}" for k, v in payload["indices"].items())
+    return payload, lines
 
 
 def cmd_coxeter(args):
@@ -215,8 +176,7 @@ def cmd_coxeter(args):
         lines.append(f"alternating sum identity at q={args.altsum}: {'holds' if verdict else 'FAILS'}")
     if not payload:
         raise ValidationError("choose at least one of --poincare/--exponents/--bott/--altsum")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_davis(args):
@@ -233,8 +193,7 @@ def cmd_davis(args):
     for subset, degree, dim in verdict.entries():
         label = "{" + ",".join(str(s) for s in subset) + "}"
         lines.append(f"  T={label} degree {degree} dimension {dim}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_chevalley(args):
@@ -255,8 +214,7 @@ def cmd_chevalley(args):
         payload["parahoric_coefficient"] = str(other.coeff)
         payload["paths_agree"] = other == value
         lines.append(f"parahoric sum {other} ({'agrees' if other == value else 'DISAGREES'})")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 # -- argv ------------------------------------------------------------------------------
@@ -406,13 +364,19 @@ def main(argv=None):
         if args.command == "coxeter" and args.preset and args.input:
             parser.error("coxeter takes an input file or --preset, not both")
     try:
-        return args.handler(args)
+        payload, lines = args.handler(args)
+        if args.format == "json":
+            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        else:
+            for line in lines:
+                sys.stdout.write(line + "\n")
     except ValidationError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
     except Exception as exc:  # internal failure
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

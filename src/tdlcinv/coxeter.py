@@ -4,8 +4,8 @@ parahoric sum.
 ``CartanMatrix`` holds an integer generalized Cartan matrix; its Weyl
 group is the Coxeter group whose labels its entry products give, a
 ``diagrams.CoxeterSystem``.  That module classifies the diagram and returns
-its degrees; it loads neither this module nor ``polynomial``, so ``davis``,
-which needs only the classifier, compiles neither.
+its degrees; it does not load this module, so ``davis``, which needs only
+the classifier, does not compile it.
 
 Everything else is read off the degrees d_i (Humphreys, Reflection Groups
 and Coxeter Groups, 3.7 and 5.12).  A finite W has the Poincaré polynomial
@@ -29,7 +29,6 @@ from collections import Counter
 
 from .diagrams import INFINITY, CoxeterSystem, _extensions
 from .errors import ValidationError
-from .polynomial import IntPolynomial
 from .records import Record
 
 # `--bott N` expands two series to degree N; each coefficient costs one
@@ -39,6 +38,61 @@ BOTT_DEGREE_CAP = 10_000
 
 class NotCrystallographic(ValidationError):
     pass
+
+
+class IntPolynomial:
+    """Polynomial with integer coefficients, trailing zeros trimmed."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = [int(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def t_analogue(cls, d):
+        """1 + t + ... + t^(d-1)."""
+        if d < 1:
+            raise ValueError("t-analogue needs d >= 1")
+        return cls([1] * d)
+
+    def __eq__(self, other):
+        if isinstance(other, IntPolynomial):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __call__(self, x):
+        """The value at ``x`` by Horner's rule: an ``int`` whenever it is
+        integral, else a ``Fraction``.  An ``int`` point is evaluated in
+        ``int`` arithmetic; any other point is read by ``Fraction(x)``."""
+        if not isinstance(x, int):
+            from fractions import Fraction
+
+            x = Fraction(x)
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value if value.denominator != 1 else value.numerator
+
+    def __mul__(self, other):
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        if not self.coeffs or not other.coeffs:
+            return IntPolynomial([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return IntPolynomial(out)
+
+    def __repr__(self):
+        return f"IntPolynomial({list(self.coeffs)})"
 
 
 class CartanMatrix:

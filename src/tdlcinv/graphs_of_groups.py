@@ -107,17 +107,14 @@ def cycle_index_ratio_products(graph, edge_index):
 
 class GraphOfFiniteGroups:
     """Finite connected graph decorated with finite groups and embeddings,
-    checked once when built; ``indices`` holds the result of ``validate``."""
+    checked once when built; ``indices`` holds the result of ``validate``.
+    ``edge_groups`` and ``embeddings`` are keyed by directed edge, as
+    ``build_gog`` gives them."""
 
     def __init__(self, graph, vertex_groups, edge_groups, embeddings):
         self.graph = graph
         self.vertex_groups = dict(vertex_groups)
-        self.edge_groups = {}
-        for e in graph.edges:
-            key = min(e, graph.bar[e])
-            if key not in edge_groups:
-                raise ValidationError(f"no group for geometric edge {key!r}")
-            self.edge_groups[e] = edge_groups[key]
+        self.edge_groups = dict(edge_groups)
         self.embeddings = dict(embeddings)
         for v in graph.vertices:
             if v not in self.vertex_groups:
@@ -125,17 +122,15 @@ class GraphOfFiniteGroups:
         for e in graph.edges:
             if e not in self.embeddings:
                 raise ValidationError(f"no embedding for directed edge {e!r}")
-        self._base_vertex, self._tree_parent = self._spanning_tree()
+        self.base_vertex, self._tree_parent = self._spanning_tree()
         self.indices = self.validate()
         self._transversals = {}
         self._sections = {}
         self._images = {}
-        self._image_sets = {}
         for e in graph.edges:
             incoming = self.embeddings[self.graph.bar[e]]  # edge group into o(e)
             image = tuple(sorted(incoming.image_set()))
             self._images[e] = image
-            self._image_sets[e] = frozenset(image)
             self._transversals[e] = self.vertex_groups[self.graph.origin[e]].left_coset_reps(image)
             self._sections[e] = incoming.section()
 
@@ -147,10 +142,6 @@ class GraphOfFiniteGroups:
         if len(parent) != len(self.graph.vertices):
             raise Disconnected("underlying graph is not connected")
         return base, parent
-
-    @property
-    def base_vertex(self):
-        return self._base_vertex
 
     def orientation(self):
         return self.graph.orientation()
@@ -204,31 +195,9 @@ class GraphOfFiniteGroups:
 
     # -- word machinery ------------------------------------------------------------------
 
-    def _push_edge(self, syllables, tail, e):
-        """Multiply the reduced word (syllables, tail) by the edge letter e."""
-        origin = self.graph.origin[e]
-        group = self.vertex_groups[origin]
-        section = self._sections[e]
-        outgoing = self.embeddings[e]
-        if tail in self._image_sets[e] and syllables and syllables[-1][0] == self.graph.bar[e]:
-            # the whole tail slides through the edge and the letters cancel
-            carried = outgoing(section[tail])
-            prev_edge, prev_rep = syllables[-1]
-            prev_group = self.vertex_groups[self.graph.origin[prev_edge]]
-            return syllables[:-1], prev_group.op(prev_rep, carried)
-        coset = group.left_coset(tail, self._images[e])
-        rep = coset[0]
-        remainder = group.op(group.inverse(rep), tail)
-        carried = outgoing(section[remainder])
-        return syllables + ((e, rep),), carried
-
-    def _push_vertex(self, syllables, tail, vertex, element):
-        group = self.vertex_groups[vertex]
-        return syllables, group.op(tail, element)
-
     def _word_end_vertex(self, syllables):
         if not syllables:
-            return self._base_vertex
+            return self.base_vertex
         return self.graph.terminus[syllables[-1][0]]
 
     def _tree_path(self, target):
@@ -266,6 +235,8 @@ class GraphOfFiniteGroups:
         pairs = []
         frontier = [root]
         for _ in range(radius):
+            if not frontier:
+                break  # a finite tree, wholly built
             next_frontier = []
             for word in frontier:
                 at = self._word_end_vertex(word)
@@ -290,7 +261,7 @@ class GraphOfFiniteGroups:
         last directed edge of each word, as ``bass_serre_ball`` builds them;
         the count stops once it passes ``BALL_VERTEX_CAP``."""
         graph = self.graph
-        layer = Counter({e: len(self._transversals[e]) for e in graph.star(self._base_vertex)})
+        layer = Counter({e: len(self._transversals[e]) for e in graph.star(self.base_vertex)})
         total = 1
         for _ in range(radius):
             total += sum(layer.values())
@@ -441,16 +412,26 @@ class PiWord:
     # -- primitive pushes -------------------------------------------------------------
 
     def _times_edge(self, e):
-        if self.gog.graph.origin[e] != self.gog._word_end_vertex(self.syllables):
+        """This word times the edge letter e, in reduced form."""
+        gog, syllables, tail = self.gog, self.syllables, self.tail
+        if gog.graph.origin[e] != gog._word_end_vertex(syllables):
             raise ValidationError("edge letter does not start at the word end")
-        syllables, tail = self.gog._push_edge(self.syllables, self.tail, e)
-        return PiWord(self.gog, syllables, tail)
+        section = gog._sections[e]  # keyed by the image of the edge group in o(e)
+        outgoing = gog.embeddings[e]
+        if tail in section and syllables and syllables[-1][0] == gog.graph.bar[e]:
+            # the whole tail slides through the edge and the letters cancel
+            prev_edge, prev_rep = syllables[-1]
+            prev_group = gog.vertex_groups[gog.graph.origin[prev_edge]]
+            return PiWord(gog, syllables[:-1], prev_group.op(prev_rep, outgoing(section[tail])))
+        group = gog.vertex_groups[gog.graph.origin[e]]
+        rep = group.left_coset(tail, gog._images[e])[0]
+        remainder = group.op(group.inverse(rep), tail)
+        return PiWord(gog, syllables + ((e, rep),), outgoing(section[remainder]))
 
     def _times_vertex(self, vertex, element):
         if vertex != self.gog._word_end_vertex(self.syllables):
             raise ValidationError("vertex element sits at the wrong vertex")
-        syllables, tail = self.gog._push_vertex(self.syllables, self.tail, vertex, element)
-        return PiWord(self.gog, syllables, tail)
+        return PiWord(self.gog, self.syllables, self.gog.vertex_groups[vertex].op(self.tail, element))
 
     # -- group operations --------------------------------------------------------------
 
@@ -586,23 +567,23 @@ class PiRepresentation:
 def build_gog(vertices, geometric_edges, vertex_groups, edge_groups, embeddings):
     """Assemble a graph of groups from plain data.
 
-    ``geometric_edges``: list of (edge_id, origin, terminus); each id e
-    produces directed edges (e, "+") and (e, "-").  ``embeddings`` maps
-    (edge_id, direction) to a Hom into the terminus ("+": origin ->
-    terminus direction).
+    ``geometric_edges``: list of (edge_id, origin, terminus) with distinct
+    ids; each id e produces directed edges (e, "+") and (e, "-"), both
+    carrying the group ``edge_groups[e]``.  ``embeddings`` maps (edge_id,
+    direction) to a Hom into the terminus ("+": origin -> terminus
+    direction).
     """
-    origin, terminus, bar = {}, {}, {}
+    origin, terminus, bar, groups = {}, {}, {}, {}
     for edge_id, u, v in geometric_edges:
         plus, minus = (edge_id, "+"), (edge_id, "-")
+        if plus in origin:
+            raise ValidationError(f"edge id {edge_id!r} appears twice")
         origin[plus], terminus[plus] = u, v
         origin[minus], terminus[minus] = v, u
         bar[plus], bar[minus] = minus, plus
+        groups[plus] = groups[minus] = edge_groups[edge_id]
     graph = SerreGraph(vertices, origin, terminus, bar)
-    edge_groups_full = {}
-    for edge_id, _, _ in geometric_edges:
-        key = min((edge_id, "+"), (edge_id, "-"))
-        edge_groups_full[key] = edge_groups[edge_id]
-    return GraphOfFiniteGroups(graph, vertex_groups, edge_groups_full, embeddings)
+    return GraphOfFiniteGroups(graph, vertex_groups, groups, embeddings)
 
 
 def load_gog(data):

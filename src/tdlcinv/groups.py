@@ -375,3 +375,23 @@ def group_from_spec(spec):
             raise ValidationError("dihedral presets start at D3")
         return FiniteGroup.dihedral(n)
     raise ValidationError(f"unknown group preset {spec!r}")
+
+
+def load_rough_cayley(data):
+    """Read the JSON input of a coset-graph ball, ``{"group": groupspec,
+    "subgroup_gens": [...], "generators": [...]}`` (either list may be left
+    out, for none): return the group, the ids generating the base subgroup
+    and the generators closed under inverses, sorted."""
+    if not isinstance(data, dict) or "group" not in data:
+        raise ValidationError("rough-cayley input must be an object with a 'group'")
+    group = group_from_spec(data["group"])
+
+    def element_ids(key):
+        ids = data.get(key, [])
+        if not isinstance(ids, list) or not all(map(group.is_element, ids)):
+            raise ValidationError(f"{key!r} must list element ids 0..{group.order - 1}")
+        return ids
+
+    subgroup_gens = element_ids("subgroup_gens")
+    generators = element_ids("generators")
+    return group, subgroup_gens, sorted(set(generators) | {group.inverse(s) for s in generators})

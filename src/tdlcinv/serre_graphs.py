@@ -162,7 +162,8 @@ class SerreGraph:
 
 
 def load_graph(data):
-    """Read the JSON graph form {"vertices": [...], "edges": [{id,o,t,bar}]}."""
+    """Read the JSON graph form {"vertices": [...], "edges": [{id,o,t,bar}]},
+    one record per directed edge, each id once."""
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValidationError("graph JSON needs 'vertices' and 'edges'")
     vertices, edges = data["vertices"], data["edges"]
@@ -176,6 +177,8 @@ def load_graph(data):
         if not isinstance(edge, dict) or not all(type(edge.get(k)) in (str, int) for k in fields):
             raise ValidationError(f"edge record {edge!r} needs id/o/t/bar as strings or integers")
         e = edge["id"]
+        if e in origin:
+            raise ValidationError(f"edge id {e!r} appears twice")
         origin[e] = edge["o"]
         terminus[e] = edge["t"]
         bar[e] = edge["bar"]

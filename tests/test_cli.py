@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -38,6 +41,21 @@ def _affine_a(n):
     affine = [[2 if i == j else -1 if (i - j) % (n + 1) in (1, n) else 0 for j in range(n + 1)] for i in range(n + 1)]
     return {"finite": {"cartan": [row[1:] for row in affine[1:]]}, "affine": {"cartan": affine}}
 
+
+# the C2 loop edge "e" and a second record with its id, which would drop it
+REPEATED_LOOP = _loop_gog("C2", C2_INTO_C2, C2_INTO_C2)
+REPEATED_LOOP["edges"].append({"id": "e", "from": "a", "to": "a"})
+# ids 1 and "1" both read as the id "1"
+INT_AND_STRING_ID = {
+    "vertices": ["a", "b"],
+    "vertex_groups": {"a": "1", "b": "1"},
+    "edges": [{"id": 1, "from": "a", "to": "b"}, {"id": "1", "from": "a", "to": "b"}],
+}
+# the edge 0 -- 1 with both directed-edge records listed twice
+REPEATED_GRAPH_EDGES = {
+    "vertices": [0, 1],
+    "edges": [{"id": 0, "o": 0, "t": 1, "bar": 1}, {"id": 1, "o": 1, "t": 0, "bar": 0}] * 2,
+}
 
 ABOVE_GENERATOR_CAP = GENERATOR_CAP + 1
 NON_ASSOCIATIVE_520 = [[(a + b) % 520 for b in range(520)] for a in range(520)]
@@ -313,6 +331,9 @@ def test_coxeter_pair_whose_affine_part_is_not_affine(tmp_path, capsys, affine, 
         (None, ("coxeter", "--preset", "X9", "--poincare"), "unknown finite type preset 'X9'"),
         (None, ("chevalley", "--type", "B3", "--q", "2", "--via-parahorics"),
          "no affine preset paired with type 'B3'"),
+        (REPEATED_LOOP, ("gog", "FILE", "--chi"), "edge id 'e' appears twice"),
+        (INT_AND_STRING_ID, ("gog", "FILE"), "edge id '1' appears twice"),
+        (REPEATED_GRAPH_EDGES, ("graph", "FILE"), "edge id 0 appears twice"),
     ],
     ids=[
         "affine-without-finite",
@@ -323,6 +344,9 @@ def test_coxeter_pair_whose_affine_part_is_not_affine(tmp_path, capsys, affine, 
         "preset-B2-altsum",
         "preset-X9",
         "chevalley-B3-via-parahorics",
+        "gog-repeated-edge-id",
+        "gog-int-and-string-edge-id",
+        "graph-repeated-edge-id",
     ],
 )
 def test_decoder_refusals_keep_their_messages(tmp_path, capsys, payload, argv, message):
@@ -361,6 +385,38 @@ def test_rough_cayley_radius_past_the_whole_graph(capsys):
     code, out, _ = run(capsys, *argv, "--radius", "100000000")
     assert code == 0
     assert out == run(capsys, *argv, "--radius", "2")[1]
+
+
+@pytest.mark.parametrize(
+    "gog, expected",
+    [
+        ({"vertices": ["v"], "vertex_groups": {"v": "C2"}, "edges": []}, {"vertices": 1, "geometric_edges": 0}),
+        (
+            {
+                "vertices": ["u", "w"],
+                "vertex_groups": {"u": "C2", "w": "C2"},
+                "edges": [
+                    {"id": "e", "from": "u", "to": "w", "group": "C2", "embed_to": C2_INTO_C2, "embed_from": C2_INTO_C2}
+                ],
+            },
+            {"vertices": 2, "geometric_edges": 1},
+        ),
+    ],
+    ids=["one-vertex", "onto-edge"],
+)
+def test_gog_ball_radius_past_a_finite_tree_stops(tmp_path, gog, expected):
+    # the Bass-Serre tree is a point, or one edge, so a radius of 10**12 is
+    # the whole tree; a subprocess lets a timeout end a build that keeps going
+    path = tmp_path / "gog.json"
+    path.write_text(json.dumps(gog))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + os.environ["PYTHONPATH"] if os.environ.get("PYTHONPATH") else ""))
+    result = subprocess.run(
+        [sys.executable, "-m", "tdlcinv.cli", "gog", str(path), "--ball", str(10**12), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30, check=False,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["ball"] == dict(expected, tree=True)
 
 
 def test_missing_file_is_exit_two(capsys):

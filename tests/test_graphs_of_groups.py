@@ -493,6 +493,19 @@ def test_disconnected_graph_rejected():
         build_gog(["u", "w"], [], {"u": c2, "w": c2}, {}, {})
 
 
+def test_build_gog_refuses_a_repeated_edge_id():
+    c2 = FiniteGroup.cyclic(2)
+    identity = Hom.identity_map(c2)
+    with pytest.raises(ValidationError, match="edge id 'e' appears twice"):
+        build_gog(
+            ["v"],
+            [("e", "v", "v"), ("e", "v", "v")],
+            {"v": c2},
+            {"e": c2},
+            {("e", "+"): identity, ("e", "-"): identity},
+        )
+
+
 def test_load_gog_json():
     gog = load_gog(
         {

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import is_associative, reference_group_table
 from tdlcinv.errors import ValidationError
-from tdlcinv.groups import FiniteGroup, Hom, NotAGroup, group_from_spec
+from tdlcinv.groups import FiniteGroup, Hom, NotAGroup, group_from_spec, load_rough_cayley
 
 
 def test_cyclic_basics():
@@ -277,3 +277,12 @@ def test_group_from_spec():
     for spec in ("C0", "S0", "D2", "1x", "C2xC0"):
         with pytest.raises(ValidationError):
             group_from_spec(spec)
+
+
+def test_load_rough_cayley_closes_the_generators_under_inverses():
+    group, subgroup_gens, generators = load_rough_cayley({"group": "C5", "subgroup_gens": [0], "generators": [3, 1]})
+    # in C5 the inverses of 3 and 1 are 2 and 4
+    assert (group.order, subgroup_gens, generators) == (5, [0], [1, 2, 3, 4])
+    group, subgroup_gens, generators = load_rough_cayley({"group": "S3"})
+    assert (group.order, subgroup_gens, generators) == (6, [], [])
+

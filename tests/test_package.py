@@ -9,6 +9,7 @@ already imported every module.
 import ast
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import tdlcinv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SAMPLES = SRC.parent / "samples"
+BENCH = SRC.parent / "bench"
 
 
 def _python(*args):
@@ -115,7 +117,7 @@ NOT_LOADED_BY = {
     "gog": {"tdlcinv.coxeter", "tdlcinv.euler", "tdlcinv.simplicial"},
     "davis": {
         f"tdlcinv.{name}"
-        for name in ("coxeter", "euler", "groups", "serre_graphs", "graphs_of_groups", "haar", "polynomial")
+        for name in ("coxeter", "euler", "groups", "serre_graphs", "graphs_of_groups", "haar")
     }
     | NO_FRACTIONS,
 }
@@ -128,9 +130,9 @@ LOADS = {
     "graph": ("ratlin", "serre_graphs"),
     "rough-cayley": ("groups", "ratlin", "serre_graphs"),
     "gog": ("graphs_of_groups", "groups", "haar", "ratlin", "records", "serre_graphs"),
-    "coxeter": ("coxeter", "diagrams", "polynomial", "records"),
+    "coxeter": ("coxeter", "diagrams", "records"),
     "davis": ("davis", "diagrams", "ratlin", "records", "simplicial"),
-    "chevalley": ("coxeter", "diagrams", "euler", "haar", "polynomial", "records"),
+    "chevalley": ("coxeter", "diagrams", "euler", "haar", "records"),
 }
 
 
@@ -153,6 +155,29 @@ def test_running_the_cli_module_writes_nothing_to_stderr():
     result = _python("-W", "error", "-m", "tdlcinv.cli", "chevalley", "--type", "A2", "--q", "2")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "chi = -1/7*mu[Iw]\n"
+
+
+def test_the_benchmarks_trace_targets_resolve():
+    # bench/traced_cli.py wraps each target by name and bench/test_bench.py
+    # requires four imported bindings of them, so a deletion or rename that
+    # breaks the traced benchmark pass fails here too; run_path compiles
+    # the script without writing bytecode under bench/
+    targets = runpy.run_path(str(BENCH / "traced_cli.py"))["TARGETS"]
+    assert targets
+    for name, module_name, path, _ in targets:
+        module = importlib.import_module(module_name)
+        assert Path(module.__file__).resolve().is_relative_to(SRC), name
+        if "." in path:
+            class_name, attribute = path.split(".")
+            assert attribute in vars(getattr(module, class_name)), f"{name}: {module_name}.{path}"
+        else:
+            assert callable(getattr(module, path, None)), f"{name}: {module_name}.{path}"
+    from tdlcinv import coxeter, davis, euler, simplicial
+
+    assert davis.relative_cohomology is simplicial.relative_cohomology
+    assert davis.union_complexes is simplicial.union_complexes
+    assert euler.poincare_poly is coxeter.poincare_poly
+    assert euler.exponents is coxeter.exponents
 
 
 # frozen here, so that a name dropped from the export table fails a test
