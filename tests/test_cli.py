@@ -42,7 +42,7 @@ def _affine_a(n):
     return {"finite": {"cartan": [row[1:] for row in affine[1:]]}, "affine": {"cartan": affine}}
 
 
-# the C2 loop edge "e" and a second record with its id, which would drop it
+# the C2 loop edge "e" and a second, trivial edge record with the same id
 REPEATED_LOOP = _loop_gog("C2", C2_INTO_C2, C2_INTO_C2)
 REPEATED_LOOP["edges"].append({"id": "e", "from": "a", "to": "a"})
 # ids 1 and "1" both read as the id "1"

@@ -285,4 +285,3 @@ def test_load_rough_cayley_closes_the_generators_under_inverses():
     assert (group.order, subgroup_gens, generators) == (5, [0], [1, 2, 3, 4])
     group, subgroup_gens, generators = load_rough_cayley({"group": "S3"})
     assert (group.order, subgroup_gens, generators) == (6, [], [])
-
