@@ -16,12 +16,13 @@ edge.  With the subtree and orientation fixed by id order and transversals
 fixed by least elements, the form is unique, so word arithmetic and coset
 bookkeeping (hence the tree construction) are exact.
 
-The universal tree is materialized as balls only: vertices are the reduced
-representative words themselves, the root being the empty word.
-"""
+The universal tree is materialized as balls only: vertices are integers in
+breadth-first order, vertex k standing for the k-th reduced representative
+word reached and the root, the empty word, being 0.
 
-from collections import Counter
-from fractions import Fraction
+``fractions`` is imported only where a ``Fraction`` is made, so validating
+a datum or building a ball loads none.
+"""
 
 from .errors import ValidationError
 from .groups import Hom, group_from_spec
@@ -30,8 +31,8 @@ from .ratlin import RationalMatrix
 from .serre_graphs import SerreGraph
 
 
-# vertices a ball of the universal tree may have; its size is predicted
-# before it is built
+# vertices a ball of the universal tree may have; the build stops as soon as
+# one more would be added
 BALL_VERTEX_CAP = 20_000
 
 # largest |exponent| of a decimal matrix entry such as "1e-5": Fraction
@@ -70,6 +71,8 @@ def aut_tree_chi(degree):
     edge stabilizer: (1 - degree) / (1 + degree)."""
     if degree < 1:
         raise ValidationError("tree degree parameter must be >= 1")
+    from fractions import Fraction
+
     return HaarValue(Fraction(1 - degree, 1 + degree), "G_e")
 
 
@@ -84,6 +87,7 @@ def cycle_index_ratio_products(graph, edge_index):
     measure by exactly this product, so the fundamental group is unimodular
     exactly when every returned product is 1.
     """
+    from fractions import Fraction
 
     def ratio(e):
         return Fraction(edge_index[e]) / Fraction(edge_index[graph.bar[e]])
@@ -186,6 +190,8 @@ class GraphOfFiniteGroups:
         geometric edges, as a measure over the trivial subgroup."""
         if not self.unimodularity_check():
             raise NotUnimodular("fundamental group is not unimodular")
+        from fractions import Fraction
+
         total = Fraction(0)
         for v in self.graph.vertices:
             total += Fraction(1, self.vertex_groups[v].order)
@@ -215,64 +221,50 @@ class GraphOfFiniteGroups:
     # -- the universal tree ----------------------------------------------------------------
 
     def bass_serre_ball(self, radius):
-        """Ball of the universal tree around the base coset.
+        """Ball of the universal tree around the base coset, built in one
+        breadth-first pass.
 
-        Vertices are reduced representative words (tuples of (edge,
-        representative) pairs); the empty word is the root.  Children of a
-        word extend it by one edge letter with a coset representative,
-        skipping exactly the combination that backtracks to the parent.
-        A negative radius, or a ball of more than ``BALL_VERTEX_CAP``
-        vertices, is refused before anything is built.
+        Vertex k is the k-th reduced representative word reached, the root
+        (the empty word) being 0.  A word's children extend it by one edge
+        letter of the sorted star at its end vertex with a coset
+        representative, skipping exactly the letter that backtracks to its
+        parent; so each vertex keeps only its end vertex and that letter.
+        A negative radius is refused, and so is the ball the moment a
+        vertex past ``BALL_VERTEX_CAP`` would be added.
         """
         if radius < 0:
             raise ValidationError(f"the ball radius {radius} is negative")
-        if self._ball_size(radius) > BALL_VERTEX_CAP:
-            raise ValidationError(
-                f"the radius-{radius} ball has more than BALL_VERTEX_CAP = {BALL_VERTEX_CAP} vertices"
-            )
-        root = ()
-        vertices = [root]
-        pairs = []
-        frontier = [root]
-        for _ in range(radius):
-            if not frontier:
-                break  # a finite tree, wholly built
-            next_frontier = []
-            for word in frontier:
-                at = self._word_end_vertex(word)
-                last = word[-1] if word else None
-                for e in sorted(self.graph.star(at)):
-                    for rep in self._transversals[e]:
-                        if (
-                            last is not None
-                            and e == self.graph.bar[last[0]]
-                            and rep == self._images[e][0]
-                        ):
-                            continue  # the parent edge
-                        child = word + ((e, rep),)
-                        vertices.append(child)
-                        pairs.append((word, child))
-                        next_frontier.append(child)
-            frontier = next_frontier
-        return SerreGraph.from_geometric(vertices, pairs)
-
-    def _ball_size(self, radius):
-        """Vertices of the radius ball, counted layer by layer and by the
-        last directed edge of each word, as ``bass_serre_ball`` builds them;
-        the count stops once it passes ``BALL_VERTEX_CAP``."""
         graph = self.graph
-        layer = Counter({e: len(self._transversals[e]) for e in graph.star(self.base_vertex)})
-        total = 1
+        # a ball vertex is (end vertex, letter back to its parent); per
+        # quotient vertex, each letter (e, rep) with the child it makes
+        steps = {
+            v: [
+                ((e, rep), (graph.terminus[e], (graph.bar[e], self._images[graph.bar[e]][0])))
+                for e in sorted(graph.star(v))
+                for rep in self._transversals[e]
+            ]
+            for v in graph.vertices
+        }
+        nodes = [(self.base_vertex, None)]
+        pairs = []
+        start = 0
         for _ in range(radius):
-            total += sum(layer.values())
-            if not layer or total > BALL_VERTEX_CAP:
-                break
-            children = Counter()
-            for e, count in layer.items():
-                for f in graph.star(graph.terminus[e]):
-                    children[f] += count * (len(self._transversals[f]) - (f == graph.bar[e]))
-            layer = +children  # drop the edges with no children
-        return total
+            stop = len(nodes)
+            if start == stop:
+                break  # a finite tree, wholly built
+            for parent in range(start, stop):
+                at, back = nodes[parent]
+                for letter, child in steps[at]:
+                    if letter == back:
+                        continue  # the parent edge
+                    if len(nodes) == BALL_VERTEX_CAP:
+                        raise ValidationError(
+                            f"the radius-{radius} ball has more than BALL_VERTEX_CAP = {BALL_VERTEX_CAP} vertices"
+                        )
+                    pairs.append((parent, len(nodes)))
+                    nodes.append(child)
+            start = stop
+        return SerreGraph.from_geometric(range(len(nodes)), pairs)
 
     # -- tree-action cohomology ---------------------------------------------------------------
 
@@ -358,7 +350,7 @@ class GraphOfFiniteGroups:
                     for i, c in enumerate(coords):
                         if c:
                             key = (row0 + i, vertex_offsets[v] + k)
-                            entries[key] = entries.get(key, Fraction(0)) + c
+                            entries[key] = entries.get(key, 0) + c
         matrix = RationalMatrix(rows, domain_dim, entries)
         rank = matrix.rank()
         return domain_dim - rank, rows - rank
@@ -654,6 +646,8 @@ def _rational(value):
     if type(value) is int:
         return value
     if isinstance(value, (str, float)):
+        from fractions import Fraction
+
         text = str(value)
         _, marker, exponent = text.lower().partition("e")
         try:

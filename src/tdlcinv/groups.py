@@ -22,6 +22,12 @@ from operator import itemgetter
 
 from .errors import ValidationError
 
+# largest order of a preset group ("Cn", "Dn", "AxB"), checked before its
+# table is built: "D128" (order 256) builds in about 0.5 s, since the
+# permutation closure costs order**2 times the degree; explicit tables are
+# not capped
+GROUP_ORDER_CAP = 256
+
 
 class NotAGroup(ValidationError):
     pass
@@ -341,6 +347,8 @@ def group_from_spec(spec):
     Presets: "1"/"trivial", "Cn", "Sn" (n <= 5), "An" (3 <= n <= 5),
     "Dn" (dihedral of order 2n), and "AxB" products of presets.
     Explicit form: ``{"table": [[...], ...]}`` (validated on load).
+    A preset of order above ``GROUP_ORDER_CAP`` is refused before its table
+    is built; an explicit table is not capped.
     """
     if isinstance(spec, dict):
         if "table" not in spec:
@@ -351,16 +359,22 @@ def group_from_spec(spec):
     name = spec.strip()
     if "x" in name:
         left, _, right = name.partition("x")
-        return FiniteGroup.direct_product(group_from_spec(left), group_from_spec(right))
+        left, right = group_from_spec(left), group_from_spec(right)
+        _check_order(spec, left.order * right.order)
+        return FiniteGroup.direct_product(left, right)
     if name in ("1", "trivial"):
         return FiniteGroup.trivial()
     kind, digits = name[:1], name[1:]
     if not digits.isdigit():
         raise ValidationError(f"unknown group preset {spec!r}")
-    n = int(digits)
+    try:
+        n = int(digits)
+    except ValueError:  # a digit int() does not read, or more digits than it reads
+        raise ValidationError(f"unknown group preset {spec!r}") from None
     if kind == "C":
         if n < 1:
             raise ValidationError("cyclic presets start at C1")
+        _check_order(spec, n)
         return FiniteGroup.cyclic(n)
     if kind == "S":
         if not 1 <= n <= 5:
@@ -373,8 +387,14 @@ def group_from_spec(spec):
     if kind == "D":
         if n < 3:
             raise ValidationError("dihedral presets start at D3")
+        _check_order(spec, 2 * n)
         return FiniteGroup.dihedral(n)
     raise ValidationError(f"unknown group preset {spec!r}")
+
+
+def _check_order(spec, order):
+    if order > GROUP_ORDER_CAP:
+        raise ValidationError(f"group preset {spec!r} has order {order}, above GROUP_ORDER_CAP = {GROUP_ORDER_CAP}")
 
 
 def load_rough_cayley(data):

@@ -9,10 +9,10 @@ times the larger-base one).
 
 This module imports nothing from the Coxeter or simplicial layers, so the
 graph-of-groups code can value its Euler characteristics without loading
-them; ``euler`` re-exports every name defined here.
+them; ``euler`` re-exports every name defined here.  ``fractions`` is
+imported only where a ``Fraction`` is made, so loading this module loads
+none.
 """
-
-from fractions import Fraction
 
 from .errors import ValidationError
 from .records import Record
@@ -30,6 +30,8 @@ class HaarValue(Record):
     __slots__ = ("coeff", "base")
 
     def __post_init__(self):
+        from fractions import Fraction
+
         object.__setattr__(self, "coeff", Fraction(self.coeff))
 
     def _require_same_base(self, other):
@@ -52,6 +54,8 @@ class HaarValue(Record):
         return HaarValue(-self.coeff, self.base)
 
     def __mul__(self, scalar):
+        from fractions import Fraction
+
         return HaarValue(self.coeff * Fraction(scalar), self.base)
 
     __rmul__ = __mul__
@@ -63,6 +67,8 @@ class HaarValue(Record):
         factor times (measure at the new base); when the old base sits
         inside the new one with index k the factor is k.
         """
+        from fractions import Fraction
+
         factor = Fraction(factor)
         if factor <= 0:
             raise UnknownIndex(f"rebase factor must be positive, got {factor}")

@@ -779,6 +779,41 @@ def two_pass_rough_cayley_ball(oracle, generators, radius):
     return order, sorted(pairs, key=lambda p: (ranked[p[0]], ranked[p[1]]))
 
 
+def word_labelled_bass_serre_ball(gog, radius):
+    """Reference for ``GraphOfFiniteGroups.bass_serre_ball``: ``(words,
+    endpoint pairs)`` of the radius ball in order of discovery, each vertex
+    labelled by its whole reduced word, a tuple of (directed edge, coset
+    representative) syllables, the root being the empty word.
+
+    The transversal of an edge e is recomputed here from the group tables:
+    the least element of each left coset g*H of the edge group's image H in
+    the origin group, ascending.  A word's children run over the sorted
+    star at its end vertex; the one skipped is the letter bar(e) with the
+    least element of its H, where e is the word's last edge."""
+    graph = gog.graph
+    images, transversals = {}, {}
+    for e in graph.edges:
+        group = gog.vertex_groups[graph.origin[e]]
+        images[e] = sorted(set(gog.embeddings[graph.bar[e]].images))
+        transversals[e] = sorted({min(group.op(g, h) for h in images[e]) for g in group.elements})
+    words, pairs = [()], []
+    frontier = [()]
+    for _ in range(radius):
+        next_frontier = []
+        for word in frontier:
+            end = graph.terminus[word[-1][0]] if word else gog.base_vertex
+            for e in sorted(graph.star(end)):
+                for rep in transversals[e]:
+                    if word and e == graph.bar[word[-1][0]] and rep == images[e][0]:
+                        continue
+                    child = word + ((e, rep),)
+                    words.append(child)
+                    pairs.append((word, child))
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return words, pairs
+
+
 def reference_parser():
     """The CLI's argument parser written out by hand, one ``add_argument``
     per option: the reference for the help and usage errors that

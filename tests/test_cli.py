@@ -387,6 +387,15 @@ def test_rough_cayley_radius_past_the_whole_graph(capsys):
     assert out == run(capsys, *argv, "--radius", "2")[1]
 
 
+def _cli_subprocess(*argv, timeout=30):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + os.environ["PYTHONPATH"] if os.environ.get("PYTHONPATH") else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "tdlcinv.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=timeout, check=False,
+    )
+
+
 @pytest.mark.parametrize(
     "gog, expected",
     [
@@ -409,14 +418,36 @@ def test_gog_ball_radius_past_a_finite_tree_stops(tmp_path, gog, expected):
     # the whole tree; a subprocess lets a timeout end a build that keeps going
     path = tmp_path / "gog.json"
     path.write_text(json.dumps(gog))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + os.environ["PYTHONPATH"] if os.environ.get("PYTHONPATH") else ""))
-    result = subprocess.run(
-        [sys.executable, "-m", "tdlcinv.cli", "gog", str(path), "--ball", str(10**12), "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=30, check=False,
-    )
+    result = _cli_subprocess("gog", path, "--ball", 10**12, "--format", "json")
     assert (result.returncode, result.stderr) == (0, "")
     assert json.loads(result.stdout)["ball"] == dict(expected, tree=True)
+
+
+def test_gog_ball_just_under_the_vertex_cap_is_built():
+    # the radius-R ball of the z_loop line has 2R + 1 vertices; the ball is
+    # built in one pass, so 19,999 vertices take well under the timeout
+    result = _cli_subprocess("gog", SAMPLES / "z_loop.json", "--ball", 9999, "--format", "json", timeout=10)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["ball"] == {"vertices": 19999, "geometric_edges": 19998, "tree": True}
+
+
+@pytest.mark.parametrize("radius", [10000, 10**12])
+def test_gog_ball_past_the_vertex_cap_stops_building(radius):
+    # the build stops once a 20,001st vertex would be added, whatever the radius
+    start = time.perf_counter()
+    result = _cli_subprocess("gog", SAMPLES / "z_loop.json", "--ball", radius, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"invalid input: the radius-{radius} ball has more than BALL_VERTEX_CAP = 20000 vertices\n"
+    assert time.perf_counter() - start < 2
+
+
+def test_large_dihedral_preset_is_refused_before_its_table(tmp_path):
+    # D100000 has order 200,000; its table would take hours to close
+    path = tmp_path / "gog.json"
+    path.write_text(json.dumps({"vertices": ["v"], "vertex_groups": {"v": "D100000"}, "edges": []}))
+    result = _cli_subprocess("gog", path, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "invalid input: group preset 'D100000' has order 200000, above GROUP_ORDER_CAP = 256\n"
 
 
 def test_missing_file_is_exit_two(capsys):

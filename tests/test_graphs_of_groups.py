@@ -8,7 +8,6 @@ from tdlcinv.errors import ValidationError
 from tdlcinv.euler import HaarValue
 from tdlcinv.groups import FiniteGroup, Hom
 from tdlcinv.graphs_of_groups import (
-    BALL_VERTEX_CAP,
     NotHomomorphism,
     NotInjective,
     PiRepresentation,
@@ -34,7 +33,12 @@ from fuzzers import (
     regular_c12_gog,
     trivial_hom,
 )
-from oracles import dense_tree_action_cohomology, trace_euler_characteristic, walked_cycle_index_ratio_products
+from oracles import (
+    dense_tree_action_cohomology,
+    trace_euler_characteristic,
+    walked_cycle_index_ratio_products,
+    word_labelled_bass_serre_ball,
+)
 
 
 def edge_of_groups(group_u, group_w, edge_group=None, embed_to=None, embed_from=None):
@@ -162,13 +166,16 @@ def test_euler_characteristic_values():
 
 
 def test_bass_serre_ball_c2_star_c3():
-    ball = c2_star_c3().bass_serre_ball(2)
+    gog = c2_star_c3()
+    ball = gog.bass_serre_ball(2)
     assert ball.graph_invariants()[2]  # a tree
     # base vertex sits at C2: degree 2, neighbors have degree 3
-    root = ball.vertices[0]
-    assert ball.degree(root) == 2
-    depth_one = [v for v in ball.vertices if len(v) == 1]
-    assert all(ball.degree(v) == 3 for v in depth_one)
+    assert ball.vertices[0] == 0
+    assert ball.degree(0) == 2
+    words, _ = word_labelled_bass_serre_ball(gog, 2)
+    depth_one = [k for k, word in enumerate(words) if len(word) == 1]
+    assert len(depth_one) == 2
+    assert all(ball.degree(k) == 3 for k in depth_one)
 
 
 def test_bass_serre_ball_z_is_a_path():
@@ -185,10 +192,13 @@ def test_bass_serre_ball_single_vertex():
 
 def test_bass_serre_degrees_match_indices():
     # loop C4 over C2: each tree vertex has degree 2 + 2 = 4
-    ball = c4_loop_over_c2().bass_serre_ball(2)
+    gog = c4_loop_over_c2()
+    ball = gog.bass_serre_ball(2)
     assert ball.graph_invariants()[2]
-    inner = [v for v in ball.vertices if len(v) < 2]
-    assert all(ball.degree(v) == 4 for v in inner)
+    words, _ = word_labelled_bass_serre_ball(gog, 2)
+    inner = [k for k, word in enumerate(words) if len(word) < 2]
+    assert len(inner) == 5
+    assert all(ball.degree(k) == 4 for k in inner)
 
 
 def test_fuzzed_instances_unimodular_and_trees():
@@ -200,14 +210,20 @@ def test_fuzzed_instances_unimodular_and_trees():
         assert ball.graph_invariants()[2]
 
 
-def test_predicted_ball_size_matches_the_built_ball():
+def test_ball_is_the_word_labelled_ball_in_bfs_order():
+    # vertex k of the ball is the k-th word the oracle reaches, and edge k
+    # joins the images of the oracle's k-th pair
     rng = random.Random(31)
     for _ in range(30):
         gog = random_gog(rng, allow_surjective=True)
         for radius in range(4):
-            assert gog._ball_size(radius) == len(gog.bass_serre_ball(radius).vertices)
-    line = loop_of_groups(FiniteGroup.trivial())
-    assert line._ball_size(10 ** 9) == BALL_VERTEX_CAP + 1  # counting stops past the cap
+            ball = gog.bass_serre_ball(radius)
+            words, pairs = word_labelled_bass_serre_ball(gog, radius)
+            position = {word: k for k, word in enumerate(words)}
+            assert ball.vertices == tuple(range(len(words)))
+            assert ball.geometric_edge_count() == len(pairs)
+            built = [(ball.origin[e], ball.terminus[e]) for e in ball.orientation()]
+            assert built == [(position[u], position[v]) for u, v in pairs]
 
 
 def test_fuzzed_noncompact_chi_nonpositive():
@@ -228,16 +244,16 @@ def test_ball_degree_formula_on_fuzzed_instances():
     for _ in range(10):
         gog = random_gog(rng, allow_surjective=True)
         ball = gog.bass_serre_ball(2)
-        radius_positions = {v: len(v) for v in ball.vertices}
-        for v in ball.vertices:
-            if radius_positions[v] >= 2:
+        words, _ = word_labelled_bass_serre_ball(gog, 2)
+        for k, word in enumerate(words):
+            if len(word) >= 2:
                 continue  # frontier vertices are truncated
-            at = gog._word_end_vertex(v)
+            at = gog.graph.terminus[word[-1][0]] if word else gog.base_vertex
             expected = sum(
                 gog.vertex_groups[at].order // gog.edge_groups[e].order
                 for e in gog.graph.star(at)
             )
-            assert ball.degree(v) == expected
+            assert ball.degree(k) == expected
 
 
 def test_aut_tree_chi_values():

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import is_associative, reference_group_table
 from tdlcinv.errors import ValidationError
-from tdlcinv.groups import FiniteGroup, Hom, NotAGroup, group_from_spec, load_rough_cayley
+from tdlcinv.groups import GROUP_ORDER_CAP, FiniteGroup, Hom, NotAGroup, group_from_spec, load_rough_cayley
 
 
 def test_cyclic_basics():
@@ -274,9 +274,23 @@ def test_group_from_spec():
     with pytest.raises(Exception):
         group_from_spec("Z")
     # out-of-range presets are invalid input, not constructor crashes
-    for spec in ("C0", "S0", "D2", "1x", "C2xC0"):
+    for spec in ("C0", "S0", "D2", "1x", "C2xC0", "C\u00b2", "C" + "1" * 5000):
         with pytest.raises(ValidationError):
             group_from_spec(spec)
+
+
+def test_preset_orders_stop_at_the_cap():
+    assert GROUP_ORDER_CAP == 256
+    for spec in ("C256", "D128", "C16xC16", "C2xD64"):
+        assert group_from_spec(spec).order == GROUP_ORDER_CAP
+    for spec, order in (("C257", 257), ("D129", 258), ("C2xD84", 336), ("C16xC32", 512), ("C2xC2xD64", 512)):
+        message = f"group preset '{spec}' has order {order}, above GROUP_ORDER_CAP = {GROUP_ORDER_CAP}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            group_from_spec(spec)
+    # an explicit table is not capped
+    order = GROUP_ORDER_CAP + 1
+    table = [[(a + b) % order for b in range(order)] for a in range(order)]
+    assert group_from_spec({"table": table}).order == order
 
 
 def test_load_rough_cayley_closes_the_generators_under_inverses():

@@ -34,6 +34,17 @@ def _python(*args):
 LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'tdlcinv')))"
 
 
+def _modules_after_main(argv):
+    """Every module loaded once ``main(argv)`` has run in a fresh
+    interpreter, after checking that it exited 0."""
+    code = f"import sys; from tdlcinv.cli import main; code = main({argv!r}); print(code, *sorted(sys.modules))"
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    exit_code, *loaded = result.stdout.splitlines()[-1].split()
+    assert exit_code == "0"
+    return loaded
+
+
 def test_importing_the_cli_loads_no_library_module():
     result = _python("-c", "import tdlcinv.cli; " + LOADED + "; print('fractions' in sys.modules)")
     assert result.returncode == 0, result.stderr
@@ -76,11 +87,13 @@ def test_coxeter_series_load_no_fractions(argv, tmp_path):
     cartan = tmp_path / "A3.json"
     cartan.write_text('{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}', encoding="utf-8")
     argv = [str(cartan) if arg == "A3.json" else arg for arg in argv]
-    code = f"import sys; from tdlcinv.cli import main; code = main({argv!r}); print(code, *sorted(sys.modules))"
-    result = _python("-c", code)
-    assert result.returncode == 0, result.stderr
-    exit_code, *loaded = result.stdout.splitlines()[-1].split()
-    assert exit_code == "0"
+    assert not {"fractions", "decimal"} & set(_modules_after_main(argv))
+
+
+@pytest.mark.parametrize("flags", [[], ["--ball", "2"]], ids=["indices", "ball"])
+def test_gog_validation_and_ball_load_no_fractions(flags):
+    # only the valuations (--unimodular, --chi, --cohomology) make a Fraction
+    loaded = _modules_after_main(["gog", str(SAMPLES / "c4_hnn.json"), *flags])
     assert not {"fractions", "decimal"} & set(loaded)
 
 
@@ -139,11 +152,7 @@ LOADS = {
 @pytest.mark.parametrize("command", SUBCOMMAND_RUNS)
 def test_subcommand_import_footprint(command):
     argv = [str(SAMPLES / arg) if arg.endswith(".json") else arg for arg in SUBCOMMAND_RUNS[command]]
-    code = f"import sys; from tdlcinv.cli import main; code = main({argv!r}); print(code, *sorted(sys.modules))"
-    result = _python("-c", code)
-    assert result.returncode == 0, result.stderr
-    exit_code, *loaded = result.stdout.splitlines()[-1].split()
-    assert exit_code == "0"
+    loaded = _modules_after_main(argv)
     assert not set(loaded) & (NEVER_LOADED | NOT_LOADED_BY.get(command, set()))
     library = [name for name in loaded if name.split(".")[0] == "tdlcinv"]
     assert library == sorted({"tdlcinv", "tdlcinv.cli", "tdlcinv.errors"} | {f"tdlcinv.{name}" for name in LOADS[command]})
