@@ -21,7 +21,10 @@ breadth-first order, vertex k standing for the k-th reduced representative
 word reached and the root, the empty word, being 0.
 
 ``fractions`` is imported only where a ``Fraction`` is made, so validating
-a datum or building a ball loads none.
+a datum or building a ball loads none.  Nor does the tree-action
+cohomology of a representation whose entries, fixed bases and edge
+coordinates are integers: it takes one ``RationalMatrix.solve`` per
+oriented edge, and ``ratlin`` gives integral solutions as ``int``.
 """
 
 from .errors import ValidationError
@@ -281,15 +284,21 @@ class GraphOfFiniteGroups:
         so each fixed space is the common kernel of the blocks
         ``rho(s) - I``, one block per generator ``s`` of
         ``FiniteGroup.generators`` (of the edge group, mapped into the
-        origin vertex group, for an edge), not one per group element.
+        origin vertex group, for an edge), not one per group element.  Each
+        fixed basis is held as the matrix of its columns.  An oriented edge
+        with a nonzero fixed space takes one ``solve`` against its basis
+        ``E``, with right-hand side ``[L_e B_t | B_o]``: ``L_e`` the stable
+        letter, or nothing on a subtree edge, and ``B_t``, ``B_o`` the
+        terminus and origin bases.  ``E`` has independent columns, so the
+        coordinates are unique; they enter with sign + at the terminus and
+        - at the origin.
         """
         representation.validate(self)
         dim = representation.dim
-        identity = RationalMatrix.identity(dim)
 
         def fixed_space(matrices):
             if not matrices:
-                return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+                return RationalMatrix.identity(dim)
             entries = {}
             for k, m in enumerate(matrices):
                 row0 = k * dim
@@ -297,21 +306,22 @@ class GraphOfFiniteGroups:
                     entries[(row0 + i, j)] = value
                 for i in range(dim):
                     entries[(row0 + i, i)] = entries.get((row0 + i, i), 0) - 1
-            return RationalMatrix(len(matrices) * dim, dim, entries).kernel_basis()
+            basis = RationalMatrix(len(matrices) * dim, dim, entries).kernel_basis()
+            return RationalMatrix(
+                dim, len(basis), {(i, j): x for j, b in enumerate(basis) for i, x in enumerate(b) if x}
+            )
 
         vertex_bases = {}
-        offset = 0
         vertex_offsets = {}
+        domain_dim = 0
         for v in self.graph.vertices:
             group = self.vertex_groups[v]
-            basis = fixed_space([representation.vertex_matrix(v, s) for s in group.generators()])
-            vertex_bases[v] = basis
-            vertex_offsets[v] = offset
-            offset += len(basis)
-        domain_dim = offset
+            vertex_bases[v] = fixed_space([representation.vertex_matrix(v, s) for s in group.generators()])
+            vertex_offsets[v] = domain_dim
+            domain_dim += vertex_bases[v].cols
 
         rows = 0
-        blocks = []
+        entries = {}
         stable = set(self.stable_letters())
         for e in self.orientation():
             origin, terminus = self.graph.origin[e], self.graph.terminus[e]
@@ -319,38 +329,22 @@ class GraphOfFiniteGroups:
             edge_basis = fixed_space(
                 [representation.vertex_matrix(origin, incoming(s)) for s in self.edge_groups[e].generators()]
             )
-            if not edge_basis:
+            if not edge_basis.cols:
                 continue
-            basis_matrix = RationalMatrix(
-                dim,
-                len(edge_basis),
-                {
-                    (i, j): edge_basis[j][i]
-                    for j in range(len(edge_basis))
-                    for i in range(dim)
-                    if edge_basis[j][i]
-                },
-            )
-            letter = representation.stable_matrix(e) if e in stable else identity
-            blocks.append((e, origin, terminus, letter, basis_matrix, rows))
-            rows += len(edge_basis)
-
-        entries = {}
-        for e, origin, terminus, letter, basis_matrix, row0 in blocks:
-            for v, sign, transform in ((terminus, 1, letter), (origin, -1, None)):
-                for k, b in enumerate(vertex_bases[v]):
-                    vector = list(b)
-                    if transform is not None:
-                        vector = transform.apply(vector)
-                    if sign < 0:
-                        vector = [-x for x in vector]
-                    if all(x == 0 for x in vector):
-                        continue
-                    coords = basis_matrix.solve(vector)
-                    for i, c in enumerate(coords):
-                        if c:
-                            key = (row0 + i, vertex_offsets[v] + k)
-                            entries[key] = entries.get(key, 0) + c
+            at_t, at_o = vertex_bases[terminus], vertex_bases[origin]
+            if e in stable:
+                at_t = representation.stable_matrix(e) @ at_t
+            rhs = at_t.entries()
+            for (i, j), x in at_o.entries().items():
+                rhs[(i, at_t.cols + j)] = x
+            coords = edge_basis.solve(RationalMatrix(dim, at_t.cols + at_o.cols, rhs))
+            for (i, j), c in coords.entries().items():
+                if j < at_t.cols:
+                    key = (rows + i, vertex_offsets[terminus] + j)
+                else:
+                    key, c = (rows + i, vertex_offsets[origin] + j - at_t.cols), -c
+                entries[key] = entries.get(key, 0) + c
+            rows += edge_basis.cols
         matrix = RationalMatrix(rows, domain_dim, entries)
         rank = matrix.rank()
         return domain_dim - rank, rows - rank
@@ -667,7 +661,7 @@ def _parse_rational_matrix(rows, dim, owner):
         raise ValidationError(f"{owner} must be a list of {dim} rows")
     if not all(isinstance(row, list) and len(row) == dim for row in rows):
         raise ValidationError(f"each row of {owner} must be a list of {dim} entries")
-    return [[_rational(v) for v in row] for row in rows]
+    return [row if set(map(type, row)) == {int} else [_rational(v) for v in row] for row in rows]
 
 
 def load_representation(data, gog):

@@ -8,9 +8,11 @@ touches floating point.  Matrices are immutable after construction;
 elimination always works on private row copies.
 
 ``fractions`` is imported only where a ``Fraction`` is made or tested: at
-the first non-``int`` entry of a new matrix, in ``entry``, ``to_dense``,
-``apply`` and ``_back_substitute``.  Ranking an all-``int`` matrix, such as
-every boundary matrix, loads no ``fractions``.  ``Rational``, the scalar
+the first non-``int`` entry of a new matrix, in ``entry``, ``to_dense`` and
+``apply``, and in ``_back_substitute`` when a solution is not integral.
+Ranking an all-``int`` matrix, such as every boundary matrix, and taking
+the kernel of one or solving against one with an integral solution load no
+``fractions``.  ``Rational``, the scalar
 field, is ``fractions.Fraction``, resolved on first use (PEP 562).
 
 ``rank``, ``kernel_basis`` and ``solve`` share one elimination kernel,
@@ -20,8 +22,12 @@ entries enter the elimination as they are; only the rows that hold a
 ``Fraction`` are scaled to integers, each by the lcm of its denominators.
 ``rank`` counts its pivots; ``kernel_basis`` and ``solve`` back-substitute
 through the pivot rows in ``int`` as well, with the unknowns as numerators
-over one common denominator that grows only when a pivot does not divide,
-and turn them into ``Fraction`` values once at the end.  Within a column
+over one common denominator that grows only when a pivot does not divide.
+When that denominator ends at 1 the coordinates are the ``int``
+numerators; otherwise they become ``Fraction`` values once at the end.
+``solve`` takes a matrix right-hand side ``B`` and returns the ``X`` with
+``A @ X == B`` from one elimination of ``[A | B]``; a vector is its
+one-column case.  Within a column
 the sparsest candidate row is the pivot, the lowest row id on a tie (a
 cheap Markowitz-style rule to limit fill-in).  Correctness does not depend
 on the pivot choice, only the amount of intermediate fill does.
@@ -294,24 +300,38 @@ class RationalMatrix:
         return basis
 
     def solve(self, rhs):
-        """One exact solution of ``self @ x = rhs``.
+        """One exact solution of ``self @ X = rhs``.
 
-        Raises ``ValueError`` when the system is inconsistent, that is when
-        the augmented matrix has a pivot in its right-hand column.  Free
-        coordinates are set to zero.
+        ``rhs`` is a ``RationalMatrix`` with ``self.rows`` rows, and the
+        result the ``RationalMatrix`` ``X``; a sequence of length
+        ``self.rows`` is the one-column case and gives a list.  One
+        elimination of ``[self | rhs]`` serves every column, and each
+        column of ``X`` is back-substituted through its pivot rows, with
+        the free coordinates set to zero.  Raises ``ValueError`` when the
+        system is inconsistent, that is when some right-hand column holds a
+        pivot: by induction over the columns, a column without a pivot lies
+        in the span of the columns of ``self`` once the earlier ones do.
         """
-        if len(rhs) != self.rows:
+        vector = not isinstance(rhs, RationalMatrix)
+        if vector:
+            rhs = RationalMatrix.from_rows([[value] for value in rhs], 1)
+        if rhs.rows != self.rows:
             raise ValueError("right-hand side length mismatch")
+        n, k = self.cols, rhs.cols
         aug_entries = dict(self._entries)
-        for i, value in enumerate(rhs):
-            if value:
-                aug_entries[(i, self.cols)] = value
-        augmented = RationalMatrix(self.rows, self.cols + 1, aug_entries)
-        pivots = list(augmented._pivots())
-        if pivots and pivots[-1][0] == self.cols:
+        for (i, j), value in rhs._entries.items():
+            aug_entries[(i, n + j)] = value
+        pivots = list(RationalMatrix(self.rows, n + k, aug_entries)._pivots())
+        if pivots and pivots[-1][0] >= n:
             raise ValueError("inconsistent linear system")
-        # a kernel vector of the augmented matrix with -1 in the rhs column
-        return _back_substitute(pivots, [0] * self.cols + [-1])[:-1]
+        entries = {}
+        for j in range(k):
+            # a kernel vector of [self | rhs] with -1 in right-hand column j
+            x = _back_substitute(pivots, [0] * n + [-(c == j) for c in range(k)])
+            entries.update(((i, j), x[i]) for i in range(n) if x[i])
+        if vector:
+            return [entries.get((i, 0), 0) for i in range(n)]
+        return RationalMatrix(n, k, entries)
 
 
 def _back_substitute(pivots, vec):
@@ -324,11 +344,10 @@ def _back_substitute(pivots, vec):
     denominators.  A pivot row gives its coordinate as ``-s / (pv * den)``,
     ``s`` the row times the numerators; when ``p = pv / gcd(s, pv)`` is
     not 1, ``den`` and every numerator so far are multiplied by ``p``
-    first.  One division per coordinate at the end gives the reduced
+    first.  When ``den`` ends at 1 the numerators are the coordinates, as
+    ``int``; otherwise one division per coordinate gives the reduced
     ``Fraction`` values.
     """
-    from fractions import Fraction
-
     den = lcm(*(x.denominator for x in vec))
     num = [x.numerator * (den // x.denominator) for x in vec]
     for col, pv, row, _ in reversed(pivots):
@@ -339,6 +358,10 @@ def _back_substitute(pivots, vec):
             num = [x * p for x in num]
             den *= p
         num[col] = -(s // g)
+    if den == 1:
+        return num
+    from fractions import Fraction
+
     return [Fraction(x, den) for x in num]
 
 

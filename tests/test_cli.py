@@ -450,6 +450,18 @@ def test_large_dihedral_preset_is_refused_before_its_table(tmp_path):
     assert result.stderr == "invalid input: group preset 'D100000' has order 200000, above GROUP_ORDER_CAP = 256\n"
 
 
+@pytest.mark.parametrize("command", ["homology", "cohomology-c"])
+def test_a_simplex_on_30_vertices_is_refused_before_its_closure(tmp_path, command):
+    # its closure would have 2**30 - 1 faces; the cap reads that off the size
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"vertices": list(range(30)), "maximal_simplices": [list(range(30))]}))
+    start = time.perf_counter()
+    result = _cli_subprocess(command, path, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "invalid input: the complex's simplices have more than CLOSURE_FACE_CAP = 100000 faces\n"
+    assert time.perf_counter() - start < 2
+
+
 def test_missing_file_is_exit_two(capsys):
     code, _, err = run(capsys, "homology", "no_such_file.json")
     assert code == 2

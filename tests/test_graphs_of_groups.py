@@ -17,6 +17,7 @@ from tdlcinv.graphs_of_groups import (
     build_gog,
     cycle_index_ratio_products,
     load_gog,
+    load_representation,
 )
 from tdlcinv.ratlin import RationalMatrix
 from tdlcinv.serre_graphs import SerreGraph
@@ -34,6 +35,7 @@ from fuzzers import (
     trivial_hom,
 )
 from oracles import (
+    dense_kernel_basis,
     dense_tree_action_cohomology,
     trace_euler_characteristic,
     walked_cycle_index_ratio_products,
@@ -499,6 +501,71 @@ def test_validate_and_fixed_spaces_work_on_generators_only(monkeypatch):
     blocks = [len(g.generators()) for g in gog.vertex_groups.values()]
     blocks += [len(gog.edge_groups[e].generators()) for e in gog.orientation()]
     assert sorted(stacked) == sorted(12 * k for k in blocks if k)
+
+
+def _edges_with_a_fixed_space(gog, rep):
+    """The oriented edges whose group, inside the origin vertex group,
+    fixes a nonzero vector, by the dense kernel over every element."""
+    dim = rep.dim
+    found = []
+    for e in gog.orientation():
+        incoming = gog.embeddings[gog.graph.bar[e]]
+        mats = [rep.vertex_matrix(gog.graph.origin[e], incoming(a)).to_dense() for a in gog.edge_groups[e].elements]
+        rows = [[m[i][j] - (i == j) for j in range(dim)] for m in mats for i in range(dim)]
+        if dense_kernel_basis(rows, dim):
+            found.append(e)
+    return found
+
+
+def test_tree_action_takes_one_solve_per_edge_with_a_fixed_space(monkeypatch):
+    # one elimination per oriented edge, its right-hand side the matrix of
+    # both end bases; an edge with no fixed vector takes none
+    solve = RationalMatrix.solve
+    calls = []
+
+    def counting_solve(self, rhs):
+        assert isinstance(rhs, RationalMatrix)
+        calls.append(self.cols)
+        return solve(self, rhs)
+
+    def count(gog, rep):
+        calls.clear()
+        monkeypatch.setattr(RationalMatrix, "solve", counting_solve)
+        result = gog.tree_action_cohomology(rep)
+        monkeypatch.setattr(RationalMatrix, "solve", solve)
+        with_fixed = _edges_with_a_fixed_space(gog, rep)
+        assert len(calls) == len(with_fixed) and all(calls)
+        return result, len(list(gog.orientation())) - len(with_fixed)
+
+    # the benchmark's size, against its dimension count (the dense oracle
+    # takes seconds there), then a smaller one against the dense oracle
+    gog, rep, expected = regular_c12_gog(random.Random(47))
+    assert count(gog, rep) == (expected, 0)
+    gog, rep, _ = regular_c12_gog(random.Random(53), num_vertices=10, extra_edges=10)
+    assert count(gog, rep) == (dense_tree_action_cohomology(gog, rep), 0)
+    # the sign characters of subgroups of S4 leave some edges with no fixed vector
+    rng = random.Random(67)
+    skipped = 0
+    for _ in range(30):
+        gog, rep = random_s4_gog(rng)
+        result, unfixed = count(gog, rep)
+        assert result == dense_tree_action_cohomology(gog, rep)
+        skipped += unfixed
+    assert skipped > 0
+
+
+def test_mixed_int_and_string_rows_parse_to_the_same_matrix():
+    # an all-int row is kept as it is; a row with any other entry is read
+    # entry by entry, as before
+    gog = single_vertex(FiniteGroup.cyclic(2))
+    involution = [[1, "1/2"], [0, -1]]
+    rep = load_representation({"dim": 2, "vertex_actions": {"v": [[[1, 0], [0, 1]], involution]}}, gog)
+    assert rep.vertex_matrix("v", 1) == RationalMatrix.from_rows([[1, Fraction(1, 2)], [0, -1]])
+    assert rep.vertex_matrix("v", 1).entries()[(0, 1)] == Fraction(1, 2)
+    assert gog.tree_action_cohomology(rep) == dense_tree_action_cohomology(gog, rep) == (1, 0)
+    for row in ([True, 0], [1, False]):
+        with pytest.raises(ValidationError, match="is not a rational number"):
+            load_representation({"dim": 2, "vertex_actions": {"v": [[[1, 0], [0, 1]], [row, [0, 1]]]}}, gog)
 
 
 def test_disconnected_graph_rejected():

@@ -90,9 +90,15 @@ def test_coxeter_series_load_no_fractions(argv, tmp_path):
     assert not {"fractions", "decimal"} & set(_modules_after_main(argv))
 
 
-@pytest.mark.parametrize("flags", [[], ["--ball", "2"]], ids=["indices", "ball"])
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--ball", "2"], ["--cohomology", "c4_hnn_rep.json"]],
+    ids=["indices", "ball", "cohomology"],
+)
 def test_gog_validation_and_ball_load_no_fractions(flags):
-    # only the valuations (--unimodular, --chi, --cohomology) make a Fraction
+    # only the valuations (--unimodular, --chi) make a Fraction; the
+    # cohomology of an integral representation stays in int throughout
+    flags = [str(SAMPLES / arg) if arg.endswith(".json") else arg for arg in flags]
     loaded = _modules_after_main(["gog", str(SAMPLES / "c4_hnn.json"), *flags])
     assert not {"fractions", "decimal"} & set(loaded)
 

@@ -218,6 +218,69 @@ def test_kernel_basis_and_solve_match_dense_oracle():
                 assert m.solve(rhs) == expected
 
 
+def _from_columns(columns, rows):
+    return RationalMatrix(rows, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in enumerate(col)})
+
+
+def test_matrix_solve_matches_the_dense_oracle_column_by_column():
+    rng = random.Random(59)
+    checked_inconsistent = 0
+    for k in range(600):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        if k % 2:
+            a = _integer_matrix(rng, rows, cols)
+        else:
+            a = _random_matrix(rng, rows, cols, bound=5, denominator=6)
+        dense = a.to_dense()
+        # right-hand columns in the image of a, some of them zero
+        columns = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.3:
+                columns.append([0] * rows)
+            else:
+                columns.append(a.apply([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)]))
+        b = _from_columns(columns, rows)
+        x = a.solve(b)
+        assert (x.rows, x.cols) == (cols, len(columns))
+        assert a @ x == b
+        for j, column in enumerate(columns):
+            assert [x.entry(i, j) for i in range(cols)] == dense_solve(dense, cols, column)
+        bad = [rng.randint(-2, 2) for _ in range(rows)]
+        if dense_solve(dense, cols, bad) is None:
+            checked_inconsistent += len(columns) >= 2
+            for position in (0, len(columns) // 2, len(columns)):
+                with pytest.raises(ValueError, match="inconsistent"):
+                    a.solve(_from_columns(columns[:position] + [bad] + columns[position:], rows))
+    assert checked_inconsistent >= 50
+
+
+def test_integral_solutions_and_kernel_vectors_are_ints():
+    # one common denominator per solved vector: it stays 1, and the
+    # coordinates are ints, exactly when every coordinate is an integer
+    rng = random.Random(61)
+    seen = set()
+    for k in range(400):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        a = _integer_matrix(rng, rows, cols, bound=2 if k % 2 else 4)
+        vectors = list(a.kernel_basis())
+        x = a.solve(a @ _integer_matrix(rng, cols, rng.randint(1, 3)))
+        vectors += [[x.entry(i, j) for i in range(cols)] for j in range(x.cols)]
+        for vec in vectors:
+            nonzero = [c for c in vec if c]
+            integral = all(Fraction(c).denominator == 1 for c in vec)
+            assert {type(c) for c in nonzero} <= ({int} if integral else {Fraction})
+            seen.add(integral)
+    assert seen == {True, False}
+    # a unit upper-triangular system and a difference row: ints throughout
+    unit = RationalMatrix.from_rows([[1, 2, -1], [0, -1, 3], [0, 0, 1]])
+    assert all(type(c) is int for c in unit.solve([4, -2, 7]))
+    solved = unit.solve(RationalMatrix.from_rows([[1, 0], [5, 0], [-2, 3]]))
+    assert all(type(c) is int for c in solved.entries().values())
+    assert unit @ solved == RationalMatrix.from_rows([[1, 0], [5, 0], [-2, 3]])
+    assert RationalMatrix.from_rows([[1, -1, 0]]).kernel_basis() == [(1, 1, 0), (0, 0, 1)]
+    assert all(type(c) is int for vec in TRIANGLE_D1.kernel_basis() for c in vec)
+
+
 def test_int_and_fraction_entries_are_the_same_matrix():
     ints = RationalMatrix(2, 2, {(0, 0): 1, (1, 0): -2})
     fractions = RationalMatrix(2, 2, {(0, 0): Fraction(1), (1, 0): Fraction(-2)})

@@ -5,6 +5,7 @@ import pytest
 from tdlcinv.errors import ValidationError
 from tdlcinv.ratlin import RationalMatrix
 from tdlcinv.simplicial import (
+    CLOSURE_FACE_CAP,
     DegreeOutOfRange,
     NotClosed,
     NotSubcomplex,
@@ -14,6 +15,8 @@ from tdlcinv.simplicial import (
     ball_sphere_growth,
     line_window,
     load_complex,
+    load_pair,
+    map_simplices,
     regular_tree_window,
     relative_cohomology,
     union_complexes,
@@ -362,3 +365,28 @@ def test_load_complex_maps_string_ids():
 def test_load_complex_rejects_unknown_vertex():
     with pytest.raises(Exception):
         load_complex({"vertices": ["a"], "maximal_simplices": [["a", "b"]]})
+
+
+def test_closure_cap_counts_faces_from_the_simplex_sizes():
+    # 2**k - 1 faces per simplex on k vertices, repeats counted: exactly
+    # the cap is admitted, one face more is refused
+    id_map = {str(i): i for i in range(16)}
+    edges = [["0", "1"]] * (CLOSURE_FACE_CAP // 3)
+    points = [["2"]] * (CLOSURE_FACE_CAP % 3)
+    assert len(map_simplices(edges + points, id_map, "complex")) == len(edges) + len(points)
+    with pytest.raises(ValidationError, match="the complex's simplices have more than CLOSURE_FACE_CAP = 100000 faces"):
+        map_simplices(edges + points + [["3"]], id_map, "complex")
+    # one simplex on 17 vertices alone has 131,071 faces
+    assert (1 << 16) - 1 <= CLOSURE_FACE_CAP < (1 << 17) - 1
+
+
+def test_closure_cap_holds_for_the_subcomplex_of_a_pair():
+    vertices = list(range(40))
+    pair = {
+        "complex": {"vertices": vertices, "maximal_simplices": [[0, 1]]},
+        "subcomplex": {"vertices": [], "maximal_simplices": [vertices]},
+    }
+    with pytest.raises(ValidationError, match="the subcomplex's simplices have more than CLOSURE_FACE_CAP"):
+        load_pair(pair)
+    big, sub = load_pair(dict(pair, subcomplex={"vertices": [], "maximal_simplices": [[0, 1]]}))
+    assert sub.is_subcomplex_of(big)
