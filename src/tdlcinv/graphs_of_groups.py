@@ -661,7 +661,7 @@ def _parse_rational_matrix(rows, dim, owner):
         raise ValidationError(f"{owner} must be a list of {dim} rows")
     if not all(isinstance(row, list) and len(row) == dim for row in rows):
         raise ValidationError(f"each row of {owner} must be a list of {dim} entries")
-    return [row if set(map(type, row)) == {int} else [_rational(v) for v in row] for row in rows]
+    return [[_rational(v) for v in row] for row in rows]
 
 
 def load_representation(data, gog):

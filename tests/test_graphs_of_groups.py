@@ -555,8 +555,8 @@ def test_tree_action_takes_one_solve_per_edge_with_a_fixed_space(monkeypatch):
 
 
 def test_mixed_int_and_string_rows_parse_to_the_same_matrix():
-    # an all-int row is kept as it is; a row with any other entry is read
-    # entry by entry, as before
+    # an int entry is kept as it is and a string entry becomes a Fraction,
+    # within one row; a bool entry is refused
     gog = single_vertex(FiniteGroup.cyclic(2))
     involution = [[1, "1/2"], [0, -1]]
     rep = load_representation({"dim": 2, "vertex_actions": {"v": [[[1, 0], [0, 1]], involution]}}, gog)
