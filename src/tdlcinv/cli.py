@@ -9,10 +9,12 @@ runs for identical inputs.
 The CLI parses arguments, dispatches and writes output.  Each input is
 decoded and checked once, by a library ``load_*`` function
 (``graphs_of_groups.load_gog``, ``groups.load_rough_cayley``, ...) or
-``coxeter.preset``, and not checked again here.  Each handler returns its
-JSON payload and its table lines, and ``main`` alone writes them.  Each
-handler imports the library modules it uses when it runs, so a subcommand
-loads only those, and the CLI itself loads no ``fractions``.
+``coxeter.preset``, and not checked again here; ``_read_json`` refuses
+a repeated key and the non-JSON constants ``NaN`` and ``±Infinity``.
+Each handler returns its JSON payload and its table lines, and ``main``
+alone writes them.  Each handler imports the library modules it uses
+when it runs, so a subcommand loads only those, and the CLI itself loads
+no ``fractions``.
 
 ``COMMANDS`` declares each subcommand once.  ``_read_argv`` reads an argv
 of the plain form every job uses straight from that table; argparse, in
@@ -30,10 +32,28 @@ import types
 from .errors import ValidationError
 
 
+def _unique_keys(pairs):
+    """One JSON object as a dict, where ``json`` keeps a repeated key's last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"repeats the key {key!r} in one object")
+            seen.add(key)
+    return obj
+
+
+def _no_constant(token):
+    raise ValidationError(f"uses {token}, which is not a JSON number")
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+    except ValidationError as exc:
+        raise ValidationError(f"input file {path!r} {exc}")
     except FileNotFoundError:
         raise ValidationError(f"input file {path!r} does not exist")
     except OSError as exc:  # a directory, no read permission, ...

@@ -19,10 +19,9 @@ gives the parahoric sum of an affine diagram, -R(q), and, by Steinberg's
 formula 1/W(1/t) = R(t) for an infinite W, its growth series.  No group
 element is ever enumerated.
 
-Only the evaluators (``parahoric_sum``, ``alternating_sum_identity`` and
-``IntPolynomial`` at a non-``int`` point) import ``fractions``, so the
-length counts, exponents and series of ``coxeter --poincare``,
-``--exponents`` and ``--bott`` load neither ``fractions`` nor ``decimal``.
+Only ``parahoric_sum`` and ``IntPolynomial`` at a non-``int`` point import
+``fractions``, so no ``coxeter`` subcommand (``--poincare``, ``--exponents``,
+``--bott``, ``--altsum`` at an ``int`` q) loads ``fractions`` or ``decimal``.
 """
 
 from collections import Counter
@@ -271,26 +270,32 @@ class AffineCartanPair(Record):
             raise ValidationError("no affine diagram below rank two")
 
 
-def parahoric_sum(affine, q):
-    """The exact alternating sum over proper subsets I of the affine nodes,
-
-        sum of (-1)^(|I| - 1) / p_{W(I)}(q)  =  -R(q),
-
-    with p_{W(I)} the length generating polynomial of the parabolic
-    subgroup on I (1 for the empty subset).  Every proper subset must be
-    of finite type; this holds for genuine affine diagrams.  Otherwise the
-    first infinite one, by size and then lexicographically, is named: its
-    size is the smallest, so it extends a spherical subset.
-    """
-    from fractions import Fraction
-
+def _proper_parabolics(affine):
+    """The (T, degrees of W_T) pairs of the proper subsets T of the affine
+    nodes.  Every proper subset must be of finite type; this holds for
+    genuine affine diagrams.  Otherwise the first infinite one, by size and
+    then lexicographically, is named: its size is the smallest, so it
+    extends a spherical subset."""
     n = affine.n
     parabolics = [(T, degrees) for T, degrees in affine.to_coxeter().spherical_subsets() if len(T) < n]
     if len(parabolics) < 2 ** n - 1:
         found = {T for T, _ in parabolics}
         first = next(U for T, _ in parabolics for U in _extensions(T, n) if U not in found)
         raise ValidationError(f"proper subset {first} is not finite type")
-    numerator, denominator = _alternating_sum(parabolics)
+    return parabolics
+
+
+def parahoric_sum(affine, q):
+    """The exact alternating sum over proper subsets I of the affine nodes,
+
+        sum of (-1)^(|I| - 1) / p_{W(I)}(q)  =  -R(q),
+
+    with p_{W(I)} the length generating polynomial of the parabolic
+    subgroup on I (1 for the empty subset), as a ``Fraction``.
+    """
+    from fractions import Fraction
+
+    numerator, denominator = _alternating_sum(_proper_parabolics(affine))
     q = Fraction(q)
     return -Fraction(numerator(q), denominator(q))
 
@@ -302,21 +307,20 @@ def alternating_sum_identity(pair, q):
 
         parahoric_sum(affine, q)  ==  (-1)^(n + 1) / ptilde(q),
 
-    with ptilde(q) = p(q) / prod(1 - q^{m_i}) evaluated exactly from the
-    finite part.
+    with ptilde(q) = p(q) / prod(1 - q^{m_i}) from the finite part.  The
+    sum is -A/D from ``_alternating_sum``, and the identity is checked
+    cleared of the denominators, nonzero at q > 1, as
+    -A(q) p(q) == (-1)^(n + 1) prod(1 - q^{m_i}) D(q): in ``int`` at an
+    ``int`` q, and on the same path at a ``Fraction`` q.
     """
-    from fractions import Fraction
-
-    q = Fraction(q)
     if q <= 1:
         raise ValidationError("the identity is evaluated at q > 1")
-    total = parahoric_sum(pair.affine, q)
-    denominator = Fraction(1)
+    numerator, denominator = _alternating_sum(_proper_parabolics(pair.affine))
+    product = 1
     for m in exponents(pair.finite):
-        denominator *= 1 - q ** m
-    ptilde = Fraction(poincare_poly(pair.finite)(q)) / denominator
-    n = pair.finite.n
-    return total == Fraction((-1) ** (n + 1)) / ptilde
+        product *= 1 - q ** m
+    sign = (-1) ** (pair.finite.n + 1)
+    return -numerator(q) * poincare_poly(pair.finite)(q) == sign * product * denominator(q)
 
 
 # -- preset tables -----------------------------------------------------------------

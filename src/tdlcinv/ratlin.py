@@ -7,13 +7,16 @@ homology dimension computed here is exact, and no mathematical code path
 touches floating point.  Matrices are immutable after construction;
 elimination always works on private row copies.
 
-``fractions`` is imported only where a ``Fraction`` is made or tested: at
-the first non-``int`` entry of a new matrix, in ``entry``, ``to_dense`` and
-``apply``, and in ``_back_substitute`` when a solution is not integral.
-Ranking an all-``int`` matrix, such as every boundary matrix, and taking
-the kernel of one or solving against one with an integral solution load no
-``fractions``.  ``Rational``, the scalar
-field, is ``fractions.Fraction``, resolved on first use (PEP 562).
+Matrices go in and out as ``RationalMatrix`` values, scalars as ``int``
+or ``Fraction``: ``solve`` takes and returns matrices, a vector to multiply
+is a one-column matrix, and only ``kernel_basis`` lists its vectors as
+tuples.  An absent entry reads as the ``int`` 0.  ``fractions`` is imported only where a
+``Fraction`` is made: at the first non-``int`` entry of a new matrix, and
+in ``_back_substitute`` when a solution is not integral.  Ranking an
+all-``int`` matrix, such as every boundary matrix, and taking the kernel of
+one or solving against one with an integral solution load no
+``fractions``.  ``Rational``, the scalar field, is ``fractions.Fraction``,
+resolved on first use (PEP 562).
 
 ``rank``, ``kernel_basis`` and ``solve`` share one elimination kernel,
 ``RationalMatrix._pivots``: fraction-free forward elimination over Python
@@ -25,12 +28,11 @@ through the pivot rows in ``int`` as well, with the unknowns as numerators
 over one common denominator that grows only when a pivot does not divide.
 When that denominator ends at 1 the coordinates are the ``int``
 numerators; otherwise they become ``Fraction`` values once at the end.
-``solve`` takes a matrix right-hand side ``B`` and returns the ``X`` with
-``A @ X == B`` from one elimination of ``[A | B]``; a vector is its
-one-column case.  Within a column
-the sparsest candidate row is the pivot, the lowest row id on a tie (a
-cheap Markowitz-style rule to limit fill-in).  Correctness does not depend
-on the pivot choice, only the amount of intermediate fill does.
+``solve(B)`` returns the matrix ``X`` with ``A @ X == B`` from one
+elimination of ``[A | B]``.  Within a column the sparsest candidate row is
+the pivot, the lowest row id on a tie (a cheap Markowitz-style rule to
+limit fill-in).  Correctness does not depend on the pivot choice, only the
+amount of intermediate fill does.
 
 The boundary maps of a chain complex are ranked together by
 ``chain_ranks``, top degree first, with clearing: the columns of ``d_q``
@@ -88,11 +90,9 @@ class RationalMatrix:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, data, cols=None):
+    def from_rows(cls, data):
         """Build from a dense list of row lists."""
-        rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
+        cols = len(data[0]) if data else 0
         entries = {}
         for i, row in enumerate(data):
             if len(row) != cols:
@@ -100,11 +100,7 @@ class RationalMatrix:
             for j, value in enumerate(row):
                 if value:
                     entries[(i, j)] = value
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
+        return cls(len(data), cols, entries)
 
     @classmethod
     def identity(cls, n):
@@ -113,9 +109,7 @@ class RationalMatrix:
     # -- plain accessors -------------------------------------------------------
 
     def entry(self, i, j):
-        from fractions import Fraction
-
-        return self._entries.get((i, j), Fraction(0))
+        return self._entries.get((i, j), 0)
 
     def entries(self):
         """Copy of the nonzero-entry map."""
@@ -129,9 +123,7 @@ class RationalMatrix:
         return not self._entries
 
     def to_dense(self):
-        from fractions import Fraction
-
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        dense = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), value in self._entries.items():
             dense[i][j] = value
         return dense
@@ -168,18 +160,6 @@ class RationalMatrix:
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + u * v
         return RationalMatrix(self.rows, other.cols, acc)
-
-    def apply(self, vector):
-        """Matrix times column vector (any sequence of length ``cols``)."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        from fractions import Fraction
-
-        out = [Fraction(0)] * self.rows
-        for (i, j), v in self._entries.items():
-            if vector[j]:
-                out[i] += v * Fraction(vector[j])
-        return out
 
     # -- elimination core --------------------------------------------------
 
@@ -285,9 +265,11 @@ class RationalMatrix:
     def kernel_basis(self):
         """Basis of the right kernel, one tuple per free column.
 
-        Each returned vector ``v`` satisfies ``m.apply(v) == 0`` exactly.  The
-        basis is deterministic: free columns ascending, the free coordinate
-        set to 1 and the other free coordinates to 0.
+        Each returned vector ``v``, as a one-column matrix, has
+        ``m @ v`` zero exactly.  The basis is deterministic: free columns
+        ascending, the free coordinate set to 1 and the other free
+        coordinates to 0.  Coordinates are ``int`` when the vector is
+        integral and ``Fraction`` values otherwise.
         """
         pivots = list(self._pivots())
         pivot_cols = {col for col, *_ in pivots}
@@ -300,21 +282,16 @@ class RationalMatrix:
         return basis
 
     def solve(self, rhs):
-        """One exact solution of ``self @ X = rhs``.
+        """The ``RationalMatrix`` ``X`` with ``self @ X == rhs``, for a
+        ``RationalMatrix`` ``rhs`` with ``self.rows`` rows.
 
-        ``rhs`` is a ``RationalMatrix`` with ``self.rows`` rows, and the
-        result the ``RationalMatrix`` ``X``; a sequence of length
-        ``self.rows`` is the one-column case and gives a list.  One
-        elimination of ``[self | rhs]`` serves every column, and each
+        One elimination of ``[self | rhs]`` serves every column, and each
         column of ``X`` is back-substituted through its pivot rows, with
         the free coordinates set to zero.  Raises ``ValueError`` when the
         system is inconsistent, that is when some right-hand column holds a
         pivot: by induction over the columns, a column without a pivot lies
         in the span of the columns of ``self`` once the earlier ones do.
         """
-        vector = not isinstance(rhs, RationalMatrix)
-        if vector:
-            rhs = RationalMatrix.from_rows([[value] for value in rhs], 1)
         if rhs.rows != self.rows:
             raise ValueError("right-hand side length mismatch")
         n, k = self.cols, rhs.cols
@@ -329,8 +306,6 @@ class RationalMatrix:
             # a kernel vector of [self | rhs] with -1 in right-hand column j
             x = _back_substitute(pivots, [0] * n + [-(c == j) for c in range(k)])
             entries.update(((i, j), x[i]) for i in range(n) if x[i])
-        if vector:
-            return [entries.get((i, 0), 0) for i in range(n)]
         return RationalMatrix(n, k, entries)
 
 

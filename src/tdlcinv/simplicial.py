@@ -286,7 +286,7 @@ class SimplicialComplex:
         if not 0 <= q <= self.dim:
             raise DegreeOutOfRange(f"cochain degree {q} outside 0..{self.dim}")
         if q == self.dim:
-            return RationalMatrix.zero(0, len(self.simplices(q)))
+            return RationalMatrix(0, len(self.simplices(q)))
         return self.boundary_matrix(q + 1).transpose()
 
     def cohomology_compact(self):

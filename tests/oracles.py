@@ -148,7 +148,7 @@ def boundary_maps_homology(complex_):
     """
     if complex_.dim < 0:
         return []
-    maps = [RationalMatrix.zero(0, len(complex_.simplices(0)))]
+    maps = [RationalMatrix(0, len(complex_.simplices(0)))]
     maps += [complex_.boundary_matrix(q) for q in range(1, complex_.dim + 1)]
     return homology_dims(maps)
 

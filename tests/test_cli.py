@@ -469,6 +469,36 @@ def test_missing_file_is_exit_two(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ["davis"],
+            '{"size": 2, "m": [[1, 3], [3, 1]], "m": [[1, "inf"], ["inf", 1]]}',
+            "repeats the key 'm' in one object",
+        ),
+        (
+            ["gog", "--chi"],
+            '{"vertices": ["u"], "vertex_groups": {"u": "C2", "u": "C3"}, "edges": []}',
+            "repeats the key 'u' in one object",
+        ),
+        (["davis"], '{"size": 2, "m": [[1, Infinity], [Infinity, 1]]}', "uses Infinity, which is not a JSON number"),
+        (["davis"], '{"size": 2, "m": [[1, -Infinity], [-Infinity, 1]]}', "uses -Infinity, which is not"),
+        (["davis"], '{"size": 2, "m": [[1, NaN], [NaN, 1]]}', "uses NaN, which is not a JSON number"),
+    ],
+    ids=["davis-repeated-m", "gog-repeated-vertex-group", "davis-infinity", "davis-minus-infinity", "davis-nan"],
+)
+def test_repeated_keys_and_non_finite_constants_are_exit_two(tmp_path, capsys, argv, text, message):
+    # json alone keeps the last of two equal keys and reads NaN and
+    # Infinity as floats: these inputs used to exit 0 with the invariants
+    # of another datum, or name the wrong invariant, "must be symmetric"
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert message in err and repr(str(path)) in err
+
+
+@pytest.mark.parametrize(
     "make, message",
     [
         (lambda path: path.write_bytes(b"\xff\xfe{}"), "is not UTF-8 text"),

@@ -7,11 +7,15 @@ and compares its stdout and exit code with the files under
 
 To regenerate the files after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
+
+The same inputs drive a repeated-key probe: each case's JSON files, with
+one key of one object given twice, must be refused with exit 2.
 """
 
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -66,13 +70,18 @@ CASES = {
 }
 
 
+def _run(argv):
+    """Exit code, stdout bytes and stderr text of ``main(argv)``, in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue().encode("utf-8"), err.getvalue()
+
+
 def run_case(case, fmt):
     """Exit code and stdout bytes of one case, run in-process."""
     argv = [str(ROOT / a) if a.startswith("samples/") else a for a in CASES[case]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--format", fmt])
-    return code, out.getvalue().encode("utf-8")
+    return _run(argv + ["--format", fmt])[:2]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -82,6 +91,74 @@ def test_cli_output_matches_golden(case, fmt):
     code, out = run_case(case, fmt)
     assert code == codes[f"{case}.{fmt}"]
     assert out == (GOLDEN / f"{case}.{fmt}.out").read_bytes()
+
+
+# the golden cases that read a JSON file, with the argv positions of the files
+INPUTS = {
+    case: [k for k, a in enumerate(argv) if a.startswith("samples/") and (ROOT / a).is_file()]
+    for case, argv in CASES.items()
+}
+INPUT_CASES = sorted(case for case, positions in INPUTS.items() if positions)
+REPEAT = "\0repeat"  # stands in for the repeated key until the text is written
+
+
+def test_every_sample_is_the_input_of_a_golden_case():
+    used = {CASES[case][k] for case in INPUT_CASES for k in INPUTS[case]}
+    assert {f"samples/{path.name}" for path in SAMPLES.glob("*.json")} <= used
+
+
+def _objects(value, path=()):
+    """The path of every JSON object in ``value``, outermost first."""
+    if isinstance(value, dict):
+        yield path
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _objects(item, path + (key,))
+
+
+def _at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+def _with_repeated_key(document, path, key, other):
+    """JSON text of ``document`` whose object at ``path`` gives ``key`` a
+    second time, last, with the value ``other``."""
+    copy = json.loads(json.dumps(document))
+    _at(copy, path)[REPEAT] = other
+    return json.dumps(copy).replace(json.dumps(REPEAT), json.dumps(key))
+
+
+@pytest.mark.parametrize("case", INPUT_CASES)
+def test_a_repeated_key_is_exit_two_in_every_object(case, tmp_path):
+    """One input file of the case at a time, rewritten: as it is, it still
+    gives the golden bytes; with one key of one JSON object repeated (a
+    seeded key per object, with another value), it is refused with exit 2
+    and the key named."""
+    rng = random.Random(case)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    argv = [ROOT / a if a.startswith("samples/") else a for a in CASES[case]]
+    for k in INPUTS[case]:
+        document = json.loads(argv[k].read_text(encoding="utf-8"))
+        path = tmp_path / argv[k].name
+        changed = argv[:k] + [path] + argv[k + 1 :]
+        path.write_text(json.dumps(document))
+        for fmt in FORMATS:
+            code, out, _ = _run(changed + ["--format", fmt])
+            assert (code, out) == (codes[f"{case}.{fmt}"], (GOLDEN / f"{case}.{fmt}.out").read_bytes())
+        objects = [p for p in _objects(document) if _at(document, p)]
+        assert objects
+        for where in objects:
+            target = _at(document, where)
+            key = rng.choice(sorted(target))
+            other = rng.choice([v for v in (0, 2, "x", [], {}, None, True) if json.dumps(v) != json.dumps(target[key])])
+            path.write_text(_with_repeated_key(document, where, key, other))
+            code, out, err = _run(changed)
+            assert (code, out) == (2, b""), (where, key)
+            assert f"repeats the key {key!r} in one object" in err and repr(str(path)) in err
 
 
 if __name__ == "__main__":

@@ -80,10 +80,12 @@ def test_no_library_module_imports_future():
     [
         ["coxeter", "A3.json", "--poincare", "--exponents"],
         ["coxeter", "--preset", "affine A2", "--bott", "4"],
+        ["coxeter", "--preset", "affine A2", "--altsum", "2"],
     ],
 )
 def test_coxeter_series_load_no_fractions(argv, tmp_path):
-    # only the evaluators (--altsum, chevalley) need Fraction
+    # --altsum compares its identity cleared of denominators, in int at an
+    # int q; only chevalley's chi and the parahoric sum make a Fraction
     cartan = tmp_path / "A3.json"
     cartan.write_text('{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}', encoding="utf-8")
     argv = [str(cartan) if arg == "A3.json" else arg for arg in argv]
@@ -126,13 +128,14 @@ SUBCOMMAND_RUNS = {
     "chevalley": ["chevalley", "--type", "A2", "--q", "2", "--via-parahorics"],
 }
 NEVER_LOADED = {"dataclasses", "inspect"} | ARGPARSE  # not typing: site may load it
-NO_FRACTIONS = {"fractions", "decimal"}  # these runs rank only int matrices
+NO_FRACTIONS = {"fractions", "decimal"}  # these runs stay in int arithmetic
 NOT_LOADED_BY = {
     "homology": NO_FRACTIONS,
     "cohomology-c": NO_FRACTIONS,
     "relative": NO_FRACTIONS,
     "graph": {"tdlcinv.simplicial"} | NO_FRACTIONS,
     "rough-cayley": {"tdlcinv.simplicial"} | NO_FRACTIONS,
+    "coxeter": NO_FRACTIONS,
     "gog": {"tdlcinv.coxeter", "tdlcinv.euler", "tdlcinv.simplicial"},
     "davis": {
         f"tdlcinv.{name}"

@@ -33,8 +33,18 @@ TRIANGLE_D1 = RationalMatrix.from_rows(
 )
 
 
+def _column(values):
+    """The one-column matrix of ``values``."""
+    return RationalMatrix(len(values), 1, {(i, 0): v for i, v in enumerate(values)})
+
+
+def _values(column):
+    """The entries of a one-column matrix, top to bottom."""
+    return [column.entry(i, 0) for i in range(column.rows)]
+
+
 def test_rank_zero_matrix():
-    assert RationalMatrix.zero(3, 3).rank() == 0
+    assert RationalMatrix(3, 3).rank() == 0
 
 
 def test_rank_identity():
@@ -72,15 +82,15 @@ def test_kernel_triangle_is_fundamental_cycle():
 def test_kernel_vectors_are_exact():
     m = RationalMatrix.from_rows([[2, 4, 6], [1, 2, 3], [0, 1, 1]])
     for vec in m.kernel_basis():
-        assert all(c == 0 for c in m.apply(vec))
+        assert (m @ _column(vec)).is_zero()
 
 
 def test_homology_point():
-    assert homology_dims([RationalMatrix.zero(0, 1)]) == [1]
+    assert homology_dims([RationalMatrix(0, 1)]) == [1]
 
 
 def test_homology_triangle_boundary():
-    dims = homology_dims([RationalMatrix.zero(0, 3), TRIANGLE_D1])
+    dims = homology_dims([RationalMatrix(0, 3), TRIANGLE_D1])
     assert dims == [1, 1]
     oracle = dense_homology([(0, 3), TRIANGLE_D1.to_dense()])
     assert dims == oracle
@@ -88,7 +98,7 @@ def test_homology_triangle_boundary():
 
 def test_homology_solid_triangle():
     d2 = RationalMatrix.from_rows([[1], [-1], [1]])
-    dims = homology_dims([RationalMatrix.zero(0, 3), TRIANGLE_D1, d2])
+    dims = homology_dims([RationalMatrix(0, 3), TRIANGLE_D1, d2])
     assert dims == [1, 0, 0]
 
 
@@ -96,16 +106,17 @@ def test_homology_rejects_nonzero_composition():
     d1 = RationalMatrix.from_rows([[1, 0], [0, 1]])
     d2 = RationalMatrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(CompositionNonZero):
-        homology_dims([RationalMatrix.zero(0, 2), d1, d2])
+        homology_dims([RationalMatrix(0, 2), d1, d2])
 
 
 def test_solve_consistent_and_inconsistent():
     m = RationalMatrix.from_rows([[1, 2], [0, 1]])
-    x = m.solve([Fraction(5), Fraction(2)])
-    assert m.apply(x) == [5, 2]
+    x = m.solve(_column([Fraction(5), Fraction(2)]))
+    assert (x.rows, x.cols) == (2, 1)
+    assert m @ x == _column([5, 2])
     singular = RationalMatrix.from_rows([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
-        singular.solve([0, 1])
+        singular.solve(_column([0, 1]))
 
 
 def _random_matrix(rng, rows, cols, density=0.5, bound=3, denominator=3):
@@ -141,8 +152,8 @@ def _rank_test_matrices():
     for _ in range(60):
         yield _random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
     for n in (0, 1, 7):
-        yield RationalMatrix.zero(0, n)
-        yield RationalMatrix.zero(n, 0)
+        yield RationalMatrix(0, n)
+        yield RationalMatrix(n, 0)
     # integer entries in -4..4, so pivots other than +-1 and the gcd content
     # step occur; the products have rank at most their inner size
     for _ in range(12):
@@ -207,15 +218,15 @@ def test_kernel_basis_and_solve_match_dense_oracle():
     for m in _oracle_test_matrices():
         dense = m.to_dense()
         assert m.kernel_basis() == dense_kernel_basis(dense, m.cols)
-        x = [rng.randint(-3, 3) for _ in range(m.cols)]
+        x = _column([rng.randint(-3, 3) for _ in range(m.cols)])
         # a right-hand side in the image, then one that usually is not
-        for rhs in (m.apply(x), [rng.randint(-2, 2) for _ in range(m.rows)]):
-            expected = dense_solve(dense, m.cols, rhs)
+        for rhs in (m @ x, _column([rng.randint(-2, 2) for _ in range(m.rows)])):
+            expected = dense_solve(dense, m.cols, _values(rhs))
             if expected is None:
                 with pytest.raises(ValueError):
                     m.solve(rhs)
             else:
-                assert m.solve(rhs) == expected
+                assert _values(m.solve(rhs)) == expected
 
 
 def _from_columns(columns, rows):
@@ -238,7 +249,8 @@ def test_matrix_solve_matches_the_dense_oracle_column_by_column():
             if rng.random() < 0.3:
                 columns.append([0] * rows)
             else:
-                columns.append(a.apply([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)]))
+                coefficients = _column([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)])
+                columns.append(_values(a @ coefficients))
         b = _from_columns(columns, rows)
         x = a.solve(b)
         assert (x.rows, x.cols) == (cols, len(columns))
@@ -273,7 +285,7 @@ def test_integral_solutions_and_kernel_vectors_are_ints():
     assert seen == {True, False}
     # a unit upper-triangular system and a difference row: ints throughout
     unit = RationalMatrix.from_rows([[1, 2, -1], [0, -1, 3], [0, 0, 1]])
-    assert all(type(c) is int for c in unit.solve([4, -2, 7]))
+    assert all(type(c) is int for c in _values(unit.solve(_column([4, -2, 7]))))
     solved = unit.solve(RationalMatrix.from_rows([[1, 0], [5, 0], [-2, 3]]))
     assert all(type(c) is int for c in solved.entries().values())
     assert unit @ solved == RationalMatrix.from_rows([[1, 0], [5, 0], [-2, 3]])
@@ -287,8 +299,27 @@ def test_int_and_fraction_entries_are_the_same_matrix():
     assert ints == fractions
     assert hash(ints) == hash(fractions)
     assert type(ints.entry(0, 0)) is int
+    assert type(ints.entry(0, 1)) is int and ints.entry(0, 1) == 0
+    assert ints.to_dense() == [[1, 0], [-2, 0]]
+    assert all(type(v) is int for row in fractions.to_dense() for v in row if not v)
     assert type(RationalMatrix(1, 1, {(0, 0): True}).entry(0, 0)) is Fraction
     assert RationalMatrix(1, 1, {(0, 0): 0.5}).entry(0, 0) == Fraction(1, 2)
+
+
+def test_one_matrix_contract():
+    # a vector is a one-column matrix: solve takes and returns matrices,
+    # and from_rows reads its shape off the rows
+    empty = RationalMatrix.from_rows([])
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert RationalMatrix.from_rows([[0, 0]]) == RationalMatrix(1, 2)
+    with pytest.raises(ValueError, match="ragged"):
+        RationalMatrix.from_rows([[1], [1, 2]])
+    x = RationalMatrix(0, 3).solve(RationalMatrix(0, 2))
+    assert (x.rows, x.cols, x.nnz) == (3, 2, 0)
+    with pytest.raises(ValueError, match="length mismatch"):
+        RationalMatrix.identity(2).solve(_column([1, 2, 3]))
+    for gone in ("apply", "zero"):
+        assert not hasattr(RationalMatrix, gone)
 
 
 def test_fraction_entries_are_stored_as_given():
@@ -322,8 +353,8 @@ def _with_empty_lines(rng, m):
 def _pivot_test_matrices():
     rng = random.Random(43)
     for n in (0, 1, 5):
-        yield RationalMatrix.zero(0, n)
-        yield RationalMatrix.zero(n, 0)
+        yield RationalMatrix(0, n)
+        yield RationalMatrix(n, 0)
     for _ in range(60):
         yield _sign_matrix(rng, rng.randint(1, 25), rng.randint(1, 25))
     for _ in range(20):
@@ -391,7 +422,7 @@ def test_homology_matches_dense_oracle_on_random_two_step_complexes():
                 if v and scale:
                     entries[(i, j)] = v * scale
         d2 = RationalMatrix(d1.cols, cols, entries)
-        chain = [RationalMatrix.zero(0, d1.rows), d1, d2]
+        chain = [RationalMatrix(0, d1.rows), d1, d2]
         dense = [(0, d1.rows), d1.to_dense(), d2.to_dense()]
         assert homology_dims(chain) == dense_homology(dense)
 
