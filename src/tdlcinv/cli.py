@@ -230,7 +230,7 @@ def cmd_chevalley(args):
     }
     lines = [f"chi = {value}"]
     if args.via_parahorics:
-        other = euler.chi_via_parahoric_sum(cox.affine_pair_of(finite, args.type), args.q)
+        other = euler.chi_via_parahoric_sum(cox.affine_preset(f"affine {args.type}"), args.q)
         payload["parahoric_coefficient"] = str(other.coeff)
         payload["paths_agree"] = other == value
         lines.append(f"parahoric sum {other} ({'agrees' if other == value else 'DISAGREES'})")

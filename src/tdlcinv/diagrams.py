@@ -176,13 +176,22 @@ def _extensions(subset, n):
     return [subset + (g,) for g in range(subset[-1] + 1 if subset else 0, n)]
 
 
+def _json_label(v, i, j):
+    if v in ("inf", "Inf", None):
+        return INFINITY
+    if not isinstance(v, int):  # a float too, 1e400 (read as infinity) included
+        raise ValidationError(f'label m[{i}][{j}] = {v!r} is not an integer; an infinite label is "inf" or null')
+    return v
+
+
 def load_coxeter(data):
-    """Read {"size": n, "m": [[...]]} with "inf" tokens for infinite labels."""
+    """Read {"size": n, "m": [[...]]}: integer labels, with the tokens
+    "inf", "Inf" and null for infinite ones."""
     if not isinstance(data, dict) or "m" not in data:
         raise ValidationError("Coxeter JSON needs an 'm' matrix")
     if not isinstance(data["m"], list) or not all(isinstance(row, list) for row in data["m"]):
         raise ValidationError("Coxeter matrix 'm' must be a list of rows")
-    rows = [[INFINITY if v in ("inf", "Inf", None) else v for v in row] for row in data["m"]]
+    rows = [[_json_label(v, i, j) for j, v in enumerate(row)] for i, row in enumerate(data["m"])]
     system = CoxeterSystem(rows)
     if "size" in data and (type(data["size"]) is not int or data["size"] != system.n):
         raise ValidationError("declared size is not the integer size of the matrix")

@@ -532,7 +532,7 @@ class PiRepresentation:
             if (m.rows, m.cols) != (self.dim, self.dim):
                 raise ValidationError("stable-letter matrix has wrong dimensions")
             if m.rank() != self.dim:
-                raise NotInvertible(f"stable letter of {e!r}")
+                raise NotInvertible(f"the stable-letter matrix of {e!r} is not invertible")
         for e in gog.orientation():
             outgoing = gog.embeddings[e]  # edge group into t(e)
             incoming = gog.embeddings[gog.graph.bar[e]]  # edge group into o(e)

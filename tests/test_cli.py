@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tdlcinv.cli import main
-from tdlcinv.coxeter import BOTT_DEGREE_CAP
+from tdlcinv.coxeter import BOTT_DEGREE_CAP, PRESET_RANKS
 from tdlcinv.diagrams import GENERATOR_CAP, CoxeterSystem
 
 from fuzzers import clique_skeleton
@@ -105,6 +105,32 @@ def test_chevalley_parahoric_agreement(capsys):
     data = json.loads(out)
     assert data["coefficient"] == data["parahoric_coefficient"] == "-1/7"
     assert data["paths_agree"] is True
+
+
+@pytest.mark.parametrize("name", [f"{family}{n}" for family, ranks in PRESET_RANKS.items() for n in ranks])
+def test_every_finite_type_agrees_with_its_parahoric_sum(capsys, name):
+    code, out, _ = run(capsys, "chevalley", "--type", name, "--q", "2", "--via-parahorics", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["type"] == name and data["paths_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "name", ["X9", "A0", "A9", "B1", "D3", "E5", "E9", "F5", "G3", "A02", "a2", "affine X9", "A" + "1" * 5000],
+    ids=lambda name: name if len(name) < 10 else "rank-of-5000-digits",
+)
+@pytest.mark.parametrize("command", ["coxeter", "chevalley"])
+def test_preset_names_are_refused_before_a_matrix_is_built(capsys, monkeypatch, command, name):
+    def no_matrix(*args):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr("tdlcinv.coxeter.CartanMatrix", no_matrix)
+    if command == "coxeter":
+        argv = ("coxeter", "--preset", name, "--poincare")
+    else:
+        argv = ("chevalley", "--type", name, "--q", "2", "--via-parahorics")
+    kind = "affine" if command == "coxeter" and name.startswith("affine ") else "finite type"
+    assert run(capsys, *argv) == (2, "", f"invalid input: unknown {kind} preset {name!r}\n")
 
 
 def test_gog_chi(capsys):
@@ -329,8 +355,16 @@ def test_coxeter_pair_whose_affine_part_is_not_affine(tmp_path, capsys, affine, 
         (None, ("coxeter", "--preset", "B2", "--altsum", "2"),
          "--altsum needs an affine preset or an 'affine' matrix"),
         (None, ("coxeter", "--preset", "X9", "--poincare"), "unknown finite type preset 'X9'"),
-        (None, ("chevalley", "--type", "B3", "--q", "2", "--via-parahorics"),
-         "no affine preset paired with type 'B3'"),
+        (None, ("chevalley", "--type", "E9", "--q", "2", "--via-parahorics"), "unknown finite type preset 'E9'"),
+        ('{"size": 2, "m": [[1, 1e400], [1e400, 1]]}', ("davis", "FILE"),
+         'label m[0][1] = inf is not an integer; an infinite label is "inf" or null'),
+        ('{"size": 2, "m": [[1, -1e400], [-1e400, 1]]}', ("davis", "FILE"),
+         'label m[0][1] = -inf is not an integer; an infinite label is "inf" or null'),
+        (_c4_rep(stable_letters={"e": [[0]]}), ("gog", SAMPLES / "c4_hnn.json", "--cohomology", "FILE"),
+         "the stable-letter matrix of ('e', '+') is not invertible"),
+        ('{"dim": 1, "vertex_actions": {"v": [[[1]], [[-1]], [[1]], [[-1]]]}, "stable_letters": {"e": [[1e-400]]}}',
+         ("gog", SAMPLES / "c4_hnn.json", "--cohomology", "FILE"),
+         "the stable-letter matrix of ('e', '+') is not invertible"),
         (REPEATED_LOOP, ("gog", "FILE", "--chi"), "edge id 'e' appears twice"),
         (INT_AND_STRING_ID, ("gog", "FILE"), "edge id '1' appears twice"),
         (REPEATED_GRAPH_EDGES, ("graph", "FILE"), "edge id 0 appears twice"),
@@ -343,7 +377,11 @@ def test_coxeter_pair_whose_affine_part_is_not_affine(tmp_path, capsys, affine, 
         "preset-B2-bott",
         "preset-B2-altsum",
         "preset-X9",
-        "chevalley-B3-via-parahorics",
+        "chevalley-E9-via-parahorics",
+        "davis-label-1e400",
+        "davis-label-minus-1e400",
+        "gog-stable-letter-zero",
+        "gog-stable-letter-1e-400",
         "gog-repeated-edge-id",
         "gog-int-and-string-edge-id",
         "graph-repeated-edge-id",
@@ -351,8 +389,8 @@ def test_coxeter_pair_whose_affine_part_is_not_affine(tmp_path, capsys, affine, 
 )
 def test_decoder_refusals_keep_their_messages(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
-    if payload is not None:
-        path.write_text(json.dumps(payload))
+    if payload is not None:  # a string is the file's text, as json.dumps cannot write 1e400
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run(capsys, *(path if a == "FILE" else a for a in argv))
     assert (code, out, err) == (2, "", f"invalid input: {message}\n")
 

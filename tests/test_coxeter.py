@@ -18,10 +18,10 @@ from tdlcinv.coxeter import (
     load_cartan,
     poincare_from_degrees,
     poincare_poly,
-    AFFINE_CARTAN,
-    FINITE_CARTAN,
+    PRESET_RANK_CAP,
+    PRESET_RANKS,
 )
-from tdlcinv.diagrams import GENERATOR_CAP, INFINITY, CoxeterSystem, load_coxeter
+from tdlcinv.diagrams import EXCEPTIONAL_DEGREES, GENERATOR_CAP, INFINITY, CoxeterSystem, load_coxeter
 from tdlcinv.errors import ValidationError
 
 from oracles import (
@@ -33,6 +33,13 @@ from oracles import (
     rho_orbit_layers,
     trial_division_exponents,
 )
+
+
+# every name the preset generator accepts
+FINITE_NAMES = [f"{family}{n}" for family, ranks in PRESET_RANKS.items() for n in ranks]
+AFFINE_NAMES = [f"affine {name}" for name in FINITE_NAMES]
+# the five affine presets that were typed in by hand before the generator
+HAND_TYPED_AFFINE = ("affine A1", "affine A2", "affine A3", "affine C2", "affine G2")
 
 
 def coxdia_system():
@@ -238,20 +245,21 @@ def test_enumerate_matches_matrix_oracle_on_random_cartan_matrices():
     assert 0 < cut < 300
 
 
-@pytest.mark.parametrize("name", sorted(FINITE_CARTAN))
+@pytest.mark.parametrize("name", [name for name in FINITE_NAMES if int(name[1:]) <= 4])
 def test_poincare_matches_matrix_oracle_on_finite_presets(name):
     cartan = finite_preset(name)
     assert list(poincare_poly(cartan).coeffs) == reflection_layers(cartan.a, None)
 
 
-@pytest.mark.parametrize("name", sorted(AFFINE_CARTAN))
+@pytest.mark.parametrize("name", [name for name in AFFINE_NAMES if int(name[8:]) <= 3])
 def test_enumerate_matches_matrix_oracle_on_affine_presets(name):
-    cartan = AFFINE_CARTAN[name]
+    cartan = affine_preset(name).affine
     assert enumerate_by_length(cartan, 12) == reflection_layers(cartan.a, 12)
 
 
 def test_enumerate_matches_rho_orbit_oracle_on_affine_presets_to_length_40():
-    for cartan in AFFINE_CARTAN.values():
+    for name in HAND_TYPED_AFFINE:
+        cartan = affine_preset(name).affine
         assert enumerate_by_length(cartan, 40) == rho_orbit_layers(cartan.a, 40)
 
 
@@ -280,6 +288,78 @@ def permuted(a, rng):
     order = list(range(len(a)))
     rng.shuffle(order)
     return [[a[i][j] for j in order] for i in order]
+
+
+# the orders of the exceptional Weyl groups (Bourbaki, Plates V-IX)
+EXCEPTIONAL_ORDERS = {"E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1_152, "G2": 12}
+
+
+def weyl_order(name):
+    family, n = name[0], int(name[1:])
+    if family == "A":
+        return math.factorial(n + 1)
+    if family in "BC":
+        return 2 ** n * math.factorial(n)
+    if family == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return EXCEPTIONAL_ORDERS[name]
+
+
+def classified_degrees(name):
+    """The degrees of the finite type ``name``: the formulas of A_n, B_n = C_n
+    and D_n, else ``EXCEPTIONAL_DEGREES`` (G2 is I2(6), degrees 2 and 6)."""
+    family, n = name[0], int(name[1:])
+    if family == "A":
+        return list(range(2, n + 2))
+    if family in "BC":
+        return list(range(2, 2 * n + 1, 2))
+    if family == "D":
+        return sorted([*range(2, 2 * n - 1, 2), n])
+    return [2, 6] if name == "G2" else list(EXCEPTIONAL_DEGREES[name])
+
+
+@pytest.mark.parametrize("name", FINITE_NAMES)
+def test_finite_presets_are_the_bourbaki_matrices(name):
+    """A, B, D, E and F in Bourbaki order, C_n the transpose of B_n, and G2
+    with node 1 short."""
+    family, rank = name[0], int(name[1:])
+    if family == "C":
+        expected = [list(column) for column in zip(*bourbaki_cartan("B", rank))]
+    elif family == "G":
+        expected = [[2, -1], [-3, 2]]
+    else:
+        expected = bourbaki_cartan(family, rank)
+    assert finite_preset(name).a == tuple(map(tuple, expected))
+
+
+@pytest.mark.parametrize("name", FINITE_NAMES)
+def test_finite_presets_have_their_degrees_and_group_orders(name):
+    cartan = finite_preset(name)
+    degrees = classified_degrees(name)
+    assert cartan.to_coxeter().degrees(range(cartan.n)) == degrees
+    assert exponents(cartan) == [d - 1 for d in degrees]
+    assert sum(poincare_poly(cartan).coeffs) == weyl_order(name)
+    if cartan.n <= 5 or name == "E6":
+        assert list(poincare_poly(cartan).coeffs) == rho_orbit_layers(cartan.a, None)
+
+
+@pytest.mark.parametrize("name", AFFINE_NAMES)
+def test_affine_presets_pass_both_identities_and_the_orbit_oracle(name):
+    """Bott's series to degree 30, the alternating sum at q = 2 and 3, and
+    the growth series against the rho-orbit enumeration: to length 20 up to
+    finite rank 4, and to length 8 above, where length 20 takes minutes."""
+    pair = affine_preset(name)
+    assert bott_check(pair.finite, pair.affine, 30)
+    assert alternating_sum_identity(pair, 2) and alternating_sum_identity(pair, 3)
+    length = 20 if pair.finite.n <= 4 else 8
+    assert enumerate_by_length(pair.affine, length) == rho_orbit_layers(pair.affine.a, length)
+
+
+def test_preset_ranks_stop_at_the_cap():
+    assert max(n for ranks in PRESET_RANKS.values() for n in ranks) == PRESET_RANK_CAP == 8
+    for family in "ABCD":
+        with pytest.raises(ValidationError, match="unknown finite type preset"):
+            finite_preset(f"{family}{PRESET_RANK_CAP + 1}")
 
 
 @pytest.mark.parametrize("name", ["E6", "A6", "B5", "D5", "F4"])
@@ -398,12 +478,11 @@ def test_alternating_sum_identity_fractional_q():
     assert alternating_sum_identity(affine_preset("affine A1"), Fraction(3, 2))
 
 
-@pytest.mark.parametrize(
-    "name, finite",
-    [("affine A1", "A1"), ("affine A2", "A2"), ("affine A3", "A3"), ("affine C2", "C2"), ("affine G2", "G2")],
-)
+@pytest.mark.parametrize("name, finite", [(f"affine {name}", name) for name in FINITE_NAMES])
 def test_affine_preset_finite_part_is_the_preset_without_node_zero(name, finite):
-    assert affine_preset(name).finite.a == FINITE_CARTAN[finite].a
+    pair = affine_preset(name)
+    assert pair.finite.a == finite_preset(finite).a
+    assert pair.finite.a == tuple(row[1:] for row in pair.affine.a[1:])
 
 
 def test_affine_pair_validation():

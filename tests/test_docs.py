@@ -44,3 +44,17 @@ def test_readme_loaders_resolve_in_their_modules():
         if not callable(getattr(importlib.import_module(f"tdlcinv.{module}"), name, None))
     ]
     assert not stale, f"README.md cites loaders that do not exist: {stale}"
+
+
+def test_readme_names_every_preset_family_with_its_rank_range():
+    from tdlcinv.coxeter import PRESET_RANKS
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    expected = {
+        f"`{family}{ranks[0]}`" if len(ranks) == 1 else f"`{family}{ranks[0]}..{family}{ranks[-1]}`"
+        for family, ranks in PRESET_RANKS.items()
+    }
+    missing = sorted(entry for entry in expected if entry not in readme)
+    assert not missing, f"README.md does not name the preset ranges {missing}"
+    stale = sorted(set(re.findall(r"`[A-Z]\d+\.\.[A-Z]\d+`", readme)) - expected)
+    assert not stale, f"README.md names preset ranges {stale} that the generator does not accept"
